@@ -41,7 +41,6 @@ from .funk import (
 from .multipliers import certify_pd_r1
 from .compare3d import (
     construct_counterexample_radon,
-    lp_norm_rn,
     verify_comparison_radon,
 )
 from .radon3d import (

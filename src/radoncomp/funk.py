@@ -22,14 +22,13 @@ from .multipliers import (
     certify_pd_r1,
     fourier_homogeneous,
     funk_eigenvalue,
-    multiplier,
 )
 from .sphere import (
     HarmonicSpectrum,
-    SphereGrid,
     SphericalFunction,
     analyze,
     evaluate_spectrum,
+    gauss_legendre,
     lp_norm_sphere,
     synthesize,
 )
@@ -422,7 +421,7 @@ def section_measure(body: StarBody, density, xi: np.ndarray,
     rho = body.radial.values
 
     def inner(n_nodes: int) -> np.ndarray:
-        t, w = np.polynomial.legendre.leggauss(n_nodes)
+        t, w = gauss_legendre(n_nodes)
         # map [-1,1] -> [0, rho] per node
         r = 0.5 * np.outer(rho, t + 1.0)              # (N, n_nodes)
         wr = 0.5 * rho[:, None] * w[None, :]

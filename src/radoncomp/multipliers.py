@@ -25,7 +25,6 @@ from scipy.special import gammaln, eval_legendre
 from .errors import NotPositive, OutOfRange
 from .sphere import (
     HarmonicSpectrum,
-    SphereGrid,
     SphericalFunction,
     analyze,
     synthesize,

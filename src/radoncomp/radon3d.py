@@ -29,7 +29,6 @@ from .errors import (
     DecayTooSlow,
     GridTooCoarse,
     InputInvalid,
-    TailTooHeavy,
 )
 from .multipliers import PDCertificate
 from .sphere import (
@@ -40,6 +39,7 @@ from .sphere import (
     build_grid,
     constant_function,
     evaluate_spectrum,
+    gauss_legendre,
     synthesize,
 )
 
@@ -233,6 +233,17 @@ class SeparableFunction:
         if self.fourier_radial is not None:
             fr = (lambda base: (lambda r: c * base(r)))(self.fourier_radial)
         return SeparableFunction(terms, fr, self.name)
+
+    def require_finite(self, name: str = "f") -> None:
+        """Raise InputInvalid on NaN samples anywhere, or on infinite ones
+        away from r = 0 (the only place a singular profile may blow up)."""
+        for profile, ang in self.terms:
+            s = profile.samples
+            if np.isnan(s).any() or np.isinf(s[1:]).any() \
+                    or not np.isfinite(ang.values).all():
+                raise InputInvalid(
+                    f"{name} has non-finite samples (NaN anywhere, or inf "
+                    "away from r = 0)")
 
     def min_on_sample_grid(self, n_r: int = 256) -> float:
         r_vals = np.linspace(0.0, self.terms[0][0].r_max, n_r)
@@ -532,7 +543,7 @@ def radon_direct_point(phi: SeparableFunction, t: float, theta: np.ndarray,
     e1 = pick - theta * (pick @ theta)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(theta, e1)
-    rho, wr = np.polynomial.legendre.leggauss(n_rho)
+    rho, wr = gauss_legendre(n_rho)
     rho = 0.5 * rho_max * (rho + 1.0)
     wr = 0.5 * rho_max * wr
     alpha = TWO_PI * np.arange(n_alpha) / n_alpha
@@ -754,6 +765,7 @@ def certify_intersection_function(f: SeparableFunction,
     suppressing the truncation ringing that would otherwise produce spurious
     negativity.
     """
+    f.require_finite()
     if f.is_radial:
         directions = np.array([[0.0, 0.0, 1.0]])
         dir_source = "radial"
@@ -907,7 +919,7 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     from scipy.interpolate import CubicSpline
 
     coeffs_t = _analysis_matrix(grid, l_max) @ _full_direction_rows(g)
-    c_nodes, c_w = np.polynomial.legendre.leggauss(200)
+    c_nodes, c_w = gauss_legendre(200)
     scale = max(float(np.max(np.abs(coeffs_t))), 1e-300)
     terms = []
     unit = np.zeros((l_max + 1) ** 2)
@@ -1086,7 +1098,7 @@ def classification_witness(f: SeparableFunction,
         omega, mhat = cert.transform_data
         measures.append(RayMeasure(omega, mhat, dir_nodes[d]))
     # LHS quadrature nodes
-    rg, wg = np.polynomial.legendre.leggauss(n_radial)
+    rg, wg = gauss_legendre(n_radial)
     rg = 0.5 * r_max * (rg + 1.0)
     wg = 0.5 * r_max * wg
     pts = (rg[:, None, None] * grid.nodes[None, :, :]).reshape(-1, 3)

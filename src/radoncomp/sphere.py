@@ -15,7 +15,7 @@ where Q_k^m = sqrt((2k+1)/(4 pi) * (k-m)!/(k+m)!) * P_k^m (P_k^m without the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,6 +33,7 @@ __all__ = [
     "lp_norm_sphere",
     "reverse_holder_check",
     "normalized_legendre_table",
+    "gauss_legendre",
 ]
 
 FOUR_PI = 4.0 * math.pi
@@ -87,8 +88,22 @@ class SphereGrid:
 
 
 @lru_cache(maxsize=32)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], built once per n.
+
+    The arrays are shared by every caller and therefore read-only; map them
+    to another interval out of place.  ``leggauss`` itself is called so the
+    rule stays bit-identical to NumPy's.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
+@lru_cache(maxsize=32)
 def _build_grid_cached(n_polar: int, n_azimuth: int) -> SphereGrid:
-    x, glw = np.polynomial.legendre.leggauss(n_polar)
+    x, glw = gauss_legendre(n_polar)
     phi = 2.0 * math.pi * np.arange(n_azimuth) / n_azimuth
     st = np.sqrt(1.0 - x * x)
     nodes = np.empty((n_polar * n_azimuth, 3))

@@ -103,6 +103,18 @@ def test_bad_expression_is_input_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+def test_non_finite_samples_are_input_error(tmp_path):
+    # (r - 1)^0.5 is NaN inside the unit ball
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(
+        "[scenario]\nkind = rn-compare\np = 1\n"
+        "[functions]\nphi_radial = exp(-r^2) * (r - 1)^0.5\n"
+        "psi_radial = 1.3*exp(-0.9*r^2)\n"
+        "[output]\ndir = out\n")
+    assert main(["rn-compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
 def test_domination_failure_exit_code(tmp_path):
     # phi strictly above psi: domination cannot hold; exit 3 with a report
     cfg = tmp_path / "dom.ini"

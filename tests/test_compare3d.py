@@ -8,9 +8,11 @@ Closed-form oracles:
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.special
 
 from radoncomp.compare3d import (
     construct_counterexample_radon,
@@ -21,6 +23,7 @@ from radoncomp.compare3d import (
 from radoncomp.errors import (
     DominationFails,
     GridMismatch,
+    GridTooCoarse,
     InputInvalid,
     NotApplicable,
     OutOfRange,
@@ -28,11 +31,13 @@ from radoncomp.errors import (
 )
 from radoncomp.radon3d import (
     catalog_entry,
+    certify_intersection_function,
     mollified_ball,
     radon_transform,
     separable_radial,
     symmetric_nodes,
 )
+from radoncomp.sphere import gauss_legendre
 
 
 def gaussian(grid=None, width=1.0, amp=1.0):
@@ -72,6 +77,75 @@ def test_lp_norm_heavy_tail_raises(grid16):
                         grid16)
     with pytest.raises(TailTooHeavy):
         lp_norm_rn(f, 1.0)
+
+
+def test_radial_rule_built_once(grid16, monkeypatch):
+    built = []
+    real = np.polynomial.legendre.leggauss
+
+    def counting(n):
+        built.append(n)
+        return real(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    gauss_legendre.cache_clear()
+    f = gaussian(grid16)
+    lp_norm_rn(f, 2.0, n_radial=2048)
+    lp_norm_rn(f, 1.0, n_radial=2048)
+    assert built == [2048]
+
+
+def test_cached_rule_is_read_only():
+    for a in gauss_legendre(64):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+# ----------------------------------------------------------------------------
+# Finite-sample gate
+# ----------------------------------------------------------------------------
+
+def _gaussian_samples(grid, index, bad):
+    r = np.linspace(0.0, 16.0, 2048)
+    samples = np.exp(-r * r)
+    samples[index] = bad
+    return separable_radial(samples=samples, grid=grid)
+
+
+ENTRY_POINTS = {
+    "lp_norm_rn": lambda f, g: lp_norm_rn(f, 2.0),
+    "verify_phi": lambda f, g: verify_comparison_radon(f, g, 2.0),
+    "verify_psi": lambda f, g: verify_comparison_radon(g, f, 1.0),
+    "construct": lambda f, g: construct_counterexample_radon(f, 2.0),
+    "certify": lambda f, g: certify_intersection_function(f),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_nan_radial_profile_refused(grid16, entry):
+    f = _gaussian_samples(grid16, 57, np.nan)
+    with pytest.raises(InputInvalid):
+        ENTRY_POINTS[entry](f, gaussian(grid16, amp=2.0))
+
+
+@pytest.mark.parametrize("index,bad", [(0, np.nan), (57, np.inf),
+                                       (2047, -np.inf)])
+def test_nan_at_origin_and_inf_elsewhere_refused(grid16, index, bad):
+    with pytest.raises(InputInvalid):
+        certify_intersection_function(_gaussian_samples(grid16, index, bad))
+
+
+def test_infinite_origin_admitted(grid16):
+    # gauss-r2 = e^{-r^2} / r^2 is inf at r = 0 and nowhere else; its L^1
+    # norm is 4 pi * sqrt(pi) / 2, and certification gets past the gate to
+    # its own verdict on the ray profile r^2 f^(r) = 2 pi^2 r erf(r/2),
+    # which grows to the grid edge
+    f = catalog_entry("gauss-r2", grid16).f
+    assert np.isinf(f.terms[0][0].samples[0])
+    assert math.isclose(lp_norm_rn(f, 1.0), 2.0 * math.pi ** 1.5,
+                        rel_tol=1e-10)
+    with pytest.raises(GridTooCoarse):
+        certify_intersection_function(f)
 
 
 # ----------------------------------------------------------------------------
@@ -180,6 +254,32 @@ def test_counterexample_gaussian_p2(grid16):
     assert rep.chain["bump_pairing"] < 0.0
     # the bump targets the negative-frequency window past 1/sqrt(2)
     assert rep.chain["bump_center"] > 1.0 / math.sqrt(2.0)
+
+
+def test_bump_search_shares_bessel_tables(grid16, monkeypatch):
+    # the 3 x 3 (t0, sigma) lattice has three distinct frequency grids, one
+    # per sigma, so the radial cap needs three 1024 x 4096 tables, each
+    # freed before the next is built
+    real = scipy.special.spherical_jn
+    tables = []
+    live_before = []
+
+    def counting(k, x, *args, **kwargs):
+        out = real(k, x, *args, **kwargs)
+        if out.shape == (1024, 4096):
+            live_before.append(sum(ref() is not None for ref in tables))
+            tables.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(scipy.special, "spherical_jn", counting)
+    psi = gaussian(grid16)
+    phi, rep = construct_counterexample_radon(psi, 2.0)
+    assert len(tables) == 3
+    assert live_before == [0, 0, 0]
+    assert phi.min_on_sample_grid(512) >= -1e-9
+    assert sinogram_dominates(radon_transform(phi),
+                              radon_transform(psi)) >= -1e-9 * math.pi
+    assert lp_norm_rn(phi, 2.0) > lp_norm_rn(psi, 2.0)
 
 
 def test_counterexample_not_applicable_when_certified(grid16):
