@@ -49,7 +49,6 @@ from .radon3d import (
     catalog_entry,
     certify_intersection_function,
     fourier_1d,
-    radon_transform,
     ray_profile_samples,
     separable_radial,
     symmetric_nodes,
@@ -103,16 +102,14 @@ def _separable_fn(cfg: ScenarioConfig, prefix: str, grid) -> SeparableFunction:
 
 def _summary_certificate(cert) -> dict:
     """Collapse an IntersectionCertificate to the report's flat shape."""
-    if hasattr(cert, "per_direction"):
-        worst = min(cert.per_direction, key=lambda c: c.witness_value)
-        wp = cert.witness_direction
-        return {
-            "verdict": cert.verdict,
-            "witness_point": None if wp is None else [float(v) for v in wp],
-            "witness_value": float(worst.witness_value),
-            "tolerance": float(worst.tolerance),
-        }
-    return cert.to_json_dict()
+    worst = min(cert.per_direction, key=lambda c: c.witness_value)
+    wp = cert.witness_direction
+    return {
+        "verdict": cert.verdict,
+        "witness_point": None if wp is None else [float(v) for v in wp],
+        "witness_value": float(worst.witness_value),
+        "tolerance": float(worst.tolerance),
+    }
 
 
 # ----------------------------------------------------------------------------
@@ -177,8 +174,8 @@ def _run_rn_compare(cfg, out, scale):
     rep = verify_comparison_radon(phi, psi, cfg.p,
                                   rel_tol=cfg.tol("rel_tol", 1e-9, scale),
                                   chain_tol=cfg.tol("chain_tol", 1e-6, scale))
-    radon_transform(phi).to_csv(str(out / "sinogram_phi.csv"))
-    radon_transform(psi).to_csv(str(out / "sinogram_psi.csv"))
+    rep.sinograms[0].to_csv(str(out / "sinogram_phi.csv"))
+    rep.sinograms[1].to_csv(str(out / "sinogram_psi.csv"))
     certs = [_summary_certificate(rep.certificate)] if rep.certificate else []
     if rep.hypothesis_holds is False:
         code = EXIT_HYPOTHESIS
@@ -197,8 +194,8 @@ def _run_rn_counterexample(cfg, out, scale):
     phi, rep = construct_counterexample_radon(
         psi, cfg.p, rel_tol=cfg.tol("rel_tol", 1e-9, scale),
         gap_tol=cfg.tol("gap_tol", 1e-8, scale))
-    radon_transform(phi).to_csv(str(out / "sinogram_phi.csv"))
-    radon_transform(psi).to_csv(str(out / "sinogram_psi.csv"))
+    rep.sinograms[0].to_csv(str(out / "sinogram_phi.csv"))
+    rep.sinograms[1].to_csv(str(out / "sinogram_psi.csv"))
     certs = [_summary_certificate(rep.certificate)] if rep.certificate else []
     return (EXIT_OK, certs,
             {"lp_phi": rep.lp_phi, "lp_psi": rep.lp_psi},

@@ -56,7 +56,7 @@ from .sphere import (
     HarmonicSpectrum,
     SphericalFunction,
     analyze,
-    gauss_legendre,
+    radial_gauss_legendre,
     synthesize,
 )
 
@@ -82,6 +82,8 @@ class RnComparisonReport:
     hypothesis_holds: bool | None          # None when no certificate is needed
     chain: dict = field(default_factory=dict)
     notes: str = ""
+    # (R phi, R psi) on the default offset grid; not part of the JSON report
+    sinograms: tuple[Sinogram, Sinogram] | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -102,13 +104,6 @@ class RnComparisonReport:
 # L^p norms
 # ----------------------------------------------------------------------------
 
-def _radial_quadrature(r_max: float, n_radial: int):
-    rg, wg = gauss_legendre(n_radial)
-    rg = 0.5 * r_max * (rg + 1.0)
-    wg = 0.5 * r_max * wg
-    return rg, wg
-
-
 def lp_norm_rn(phi: SeparableFunction, p: float,
                n_radial: int = 2048, tail_tol: float = 1e-6) -> float:
     """|phi|_p by polar quadrature (Gauss-Legendre radius x sphere grid).
@@ -121,7 +116,7 @@ def lp_norm_rn(phi: SeparableFunction, p: float,
         raise OutOfRange(f"p must be positive, got {p}")
     phi.require_finite("phi")
     r_max = phi.terms[0][0].r_max
-    rg, wg = _radial_quadrature(r_max, n_radial)
+    rg, wg = radial_gauss_legendre(r_max, n_radial)
     grid = phi.grid
     vals = np.abs(phi.values_polar(rg)) ** p
     total = float((wg * rg * rg) @ vals @ grid.weights)
@@ -186,9 +181,7 @@ def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
 
 def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
                             p: float, rel_tol: float = 1e-9,
-                            chain_tol: float = 1e-6,
-                            certify_kwargs: dict | None = None
-                            ) -> RnComparisonReport:
+                            chain_tol: float = 1e-6) -> RnComparisonReport:
     """Decide |phi|_p <= |psi|_p from sinogram domination.
 
     p = 1: domination integrates directly to the norm comparison (no
@@ -217,14 +210,18 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
     idx = hemisphere_indices(phi.grid)
     w_dir = 2.0 * phi.grid.weights[idx]
 
+    def report(**fields) -> RnComparisonReport:
+        return RnComparisonReport(p=p, domination_margin=margin, lp_phi=lp_phi,
+                                  lp_psi=lp_psi, sinograms=(r_phi, r_psi),
+                                  **fields)
+
     if p == 1.0:
         gap = lp_psi - lp_phi
         sino_gap = float(w_dir @ np.trapezoid(
             r_psi.values - r_phi.values, r_psi.t, axis=1)) / (4.0 * math.pi)
         resid = abs(gap - sino_gap) / max(abs(gap), lp_phi, 1e-300)
-        return RnComparisonReport(
-            p=p, domination_margin=margin, certificate=None,
-            lp_phi=lp_phi, lp_psi=lp_psi,
+        return report(
+            certificate=None,
             conclusion_holds=lp_phi <= lp_psi + chain_tol * lp_psi,
             hypothesis_holds=None,
             chain={"norm_gap": gap, "sinogram_gap": sino_gap,
@@ -236,21 +233,17 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
     base = phi if p > 1.0 else psi
     try:
         w_fn = separable_power(base, p - 1.0)
-        cert = certify_intersection_function(w_fn, **(certify_kwargs or {}))
+        cert = certify_intersection_function(w_fn)
     except (InputInvalid, GridTooCoarse) as exc:
-        return RnComparisonReport(
-            p=p, domination_margin=margin, certificate=None,
-            lp_phi=lp_phi, lp_psi=lp_psi,
-            conclusion_holds=False, hypothesis_holds=False,
+        return report(
+            certificate=None, conclusion_holds=False, hypothesis_holds=False,
             chain={"norm_ratio": (lp_psi / max(lp_phi, 1e-300)) ** p},
             notes=f"hypothesis fails: {side_name}^{{p-1}} could not be "
                   f"certified as an intersection function ({exc})",
         )
     if not cert.is_intersection_function:
-        return RnComparisonReport(
-            p=p, domination_margin=margin, certificate=cert,
-            lp_phi=lp_phi, lp_psi=lp_psi,
-            conclusion_holds=False, hypothesis_holds=False,
+        return report(
+            certificate=cert, conclusion_holds=False, hypothesis_holds=False,
             chain={"norm_ratio": (lp_psi / max(lp_phi, 1e-300)) ** p},
             notes=f"hypothesis fails: {side_name}^{{p-1}} is not an "
                   "intersection function (no conclusion; the comparison may "
@@ -288,12 +281,8 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
               and rev_holder_bound <= pair_phi
               + chain_tol * max(abs(pair_phi), 1.0))
     conclusion = lp_phi <= lp_psi * (1.0 + chain_tol)
-    return RnComparisonReport(
-        p=p, domination_margin=margin, certificate=cert,
-        lp_phi=lp_phi, lp_psi=lp_psi,
-        conclusion_holds=bool(conclusion and ok), hypothesis_holds=True,
-        chain=chain,
-    )
+    return report(certificate=cert, conclusion_holds=bool(conclusion and ok),
+                  hypothesis_holds=True, chain=chain)
 
 
 # ----------------------------------------------------------------------------
@@ -315,27 +304,16 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
     from scipy.special import spherical_jn
 
     r_vals = np.linspace(0.0, r_max, n_r)
-    cap_scale = 1e-14 * max(np.max(np.abs(cap_spec.coeffs)), 1e-300)
-    degrees = [k for k in range(0, cap_spec.l_max + 1, 2)
-               if np.max(np.abs(cap_spec.degree_slice(k))) > cap_scale]
-    angular = {}
-    unit = np.zeros((cap_spec.l_max + 1) ** 2)
-    for k in degrees:
-        angular[k] = []
-        for j in range(k * k, (k + 1) * (k + 1)):
-            if abs(cap_spec.coeffs[j]) <= cap_scale:
-                continue
-            unit[:] = 0.0
-            unit[j] = 1.0
-            angular[k].append(synthesize(
-                HarmonicSpectrum(cap_spec.l_max, unit * cap_spec.coeffs[j]),
-                grid))
+    angular = {}                                   # degree -> cap modes
+    for j in cap_spec.live_modes(even_only=True):
+        angular.setdefault(math.isqrt(j), []).append(synthesize(
+            HarmonicSpectrum.mode(cap_spec.l_max, j, cap_spec.coeffs[j]), grid))
     s_maxes = [max(20.0 / sigma, 4.0 * abs(t0), 40.0) for t0, sigma in lattice]
     radial = {}                                    # (lattice index, k) -> h_k
     for s_max in dict.fromkeys(s_maxes):
         s = np.linspace(0.0, s_max, 4096)
         members = [i for i, v in enumerate(s_maxes) if v == s_max]
-        for k in degrees:
+        for k in angular:
             jk = spherical_jn(k, np.outer(r_vals, s))
             sign = -1.0 if (k // 2) % 2 else 1.0
             for i in members:
@@ -348,7 +326,7 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
     out = []
     for i in range(len(lattice)):
         terms = []
-        for k in degrees:
+        for k in angular:
             prof = RadialProfile(radial[i, k], r_max, "schwartz")
             terms.extend((prof, ang) for ang in angular[k])
         out.append(SeparableFunction(terms))
@@ -365,20 +343,14 @@ def _angular_cap_spectrum(nu: np.ndarray, grid, power: int):
 
 def _combine(psi: SeparableFunction, h: SeparableFunction,
              coeff: float) -> SeparableFunction:
-    terms = list(psi.terms)
-    for prof, ang in h.terms:
-        terms.append((RadialProfile(prof.samples * coeff, prof.r_max,
-                                    prof.decay,
-                                    (lambda q, c: (lambda r: c * q(r)))(
-                                        prof.evaluator, coeff)
-                                    if prof.evaluator else None), ang))
-    return SeparableFunction(terms)
+    return SeparableFunction(list(psi.terms) + [(prof.scaled(coeff), ang)
+                                                for prof, ang in h.terms])
 
 
 def _integral_against(w_fn: SeparableFunction, h: SeparableFunction,
                       n_radial: int = 300) -> float:
     r_max = min(w_fn.terms[0][0].r_max, h.terms[0][0].r_max)
-    rg, wg = _radial_quadrature(r_max, n_radial)
+    rg, wg = radial_gauss_legendre(r_max, n_radial)
     grid = w_fn.grid
     vals = w_fn.values_polar(rg) * h.values_polar(rg)
     return float((wg * rg * rg) @ vals @ grid.weights)
@@ -510,5 +482,6 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
                "bump_center": t0, "bump_width": sigma,
                "n_failing_directions": float(len(failing))},
         notes="counterexample: domination holds while |phi|_p > |psi|_p",
+        sinograms=(r_phi, r_psi),
     )
     return phi, report

@@ -30,6 +30,7 @@ from .sphere import (
     evaluate_spectrum,
     gauss_legendre,
     lp_norm_sphere,
+    orthonormal_frame,
     synthesize,
 )
 
@@ -92,16 +93,6 @@ class ComparisonReport:
         }
 
 
-def _orthonormal_frame(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xi = np.asarray(xi, dtype=float)
-    xi = xi / np.linalg.norm(xi)
-    pick = np.array([1.0, 0.0, 0.0]) if abs(xi[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = pick - xi * (pick @ xi)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(xi, e1)
-    return e1, e2
-
-
 def _spectrum_of(f: SphericalFunction, l_max: int | None = None) -> HarmonicSpectrum:
     if f.spectrum is not None and (l_max is None or f.spectrum.l_max >= l_max):
         return f.spectrum
@@ -119,7 +110,7 @@ def sradon_direct(f: SphericalFunction, xi: np.ndarray,
     spec = _spectrum_of(f)
     if n_nodes is None:
         n_nodes = max(64, 4 * (spec.l_max + 1))
-    e1, e2 = _orthonormal_frame(xi)
+    e1, e2 = orthonormal_frame(xi)
     t = TWO_PI * np.arange(n_nodes) / n_nodes
     pts = np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2)
     vals = evaluate_spectrum(spec, pts)
@@ -141,7 +132,7 @@ def sradon_map(f: SphericalFunction, l_max: int | None = None) -> SphericalFunct
 def _newton_polish_extremum(spec: HarmonicSpectrum, node: np.ndarray,
                             maximize: bool) -> tuple[np.ndarray, float]:
     """One finite-difference Newton step in the tangent plane at the best node."""
-    e1, e2 = _orthonormal_frame(node)
+    e1, e2 = orthonormal_frame(node)
 
     def at(a, b):
         p = node + a * e1 + b * e2
@@ -397,9 +388,7 @@ def intersection_body_of(body: StarBody) -> StarBody:
     # per degree to lambda(3,k,1) * c_k / 2 = (2 pi)^3 / (2 pi) * 1, times (rho_L^2)_k
     lhs = fourier_homogeneous(rho_il_spec, 1.0)
     rhs = HarmonicSpectrum(spec_sq.l_max, spec_sq.coeffs * (TWO_PI_CUBED / (2.0 * math.pi)))
-    keep = np.zeros(spec_sq.l_max + 1)
-    keep[::2] = 1.0
-    diff = lhs.scaled_by_degree(keep).coeffs - rhs.scaled_by_degree(keep).coeffs
+    diff = lhs.even_part().coeffs - rhs.even_part().coeffs
     scale = max(float(np.max(np.abs(rhs.coeffs))), 1e-300)
     residual = float(np.max(np.abs(diff))) / scale
     return StarBody(rho_il, name=f"I({body.name})" if body.name else "IL",

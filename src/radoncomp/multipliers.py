@@ -111,10 +111,7 @@ def fourier_homogeneous(spectrum: HarmonicSpectrum, p: float, n: int = 3) -> Har
             f"spectrum has odd-degree content (relative size {residual:.2e}); "
             "homogeneous Fourier transforms are defined here for even functions"
         )
-    table = np.zeros(spectrum.l_max + 1)
-    for k in range(0, spectrum.l_max + 1, 2):
-        table[k] = multiplier(n, k, p)
-    return spectrum.scaled_by_degree(table)
+    return spectrum.scaled_by_degree(multiplier_table(n, spectrum.l_max, p))
 
 
 def certify_pd_r1(f: SphericalFunction, q: float,
@@ -166,13 +163,9 @@ def spherical_parseval_check(f: SphericalFunction, g: SphericalFunction,
     """
     grid = f.grid
     l_max = min(grid.bandwidth, g.grid.bandwidth)
-    sf = analyze(f, l_max)
-    sg = analyze(g, l_max)
     # zero the odd part: only even degrees carry multipliers
-    keep = np.zeros(l_max + 1)
-    keep[::2] = 1.0
-    sf = sf.scaled_by_degree(keep)
-    sg = sg.scaled_by_degree(keep)
+    sf = analyze(f, l_max).even_part()
+    sg = analyze(g, l_max).even_part()
     tf = fourier_homogeneous(sf, p, n)
     tg = fourier_homogeneous(sg, n - p, n)
     lhs = float(tf.coeffs @ tg.coeffs)

@@ -40,6 +40,8 @@ from .sphere import (
     constant_function,
     evaluate_spectrum,
     gauss_legendre,
+    orthonormal_frame,
+    radial_gauss_legendre,
     synthesize,
 )
 
@@ -82,6 +84,9 @@ PAIRING_CONSTANT = 1.0 / (16.0 * math.pi ** 3)
 
 DEFAULT_T_MAX = 16.0
 DEFAULT_N = 2048
+# A harmonic mode whose radial coefficients all stay at most this fraction of
+# the largest one is dropped from a fitted or reconstructed function.
+_MODE_CUT = 1e-12
 
 
 # ----------------------------------------------------------------------------
@@ -159,6 +164,12 @@ class RadialProfile:
             return np.where(r > self.r_max, right, out)
         return np.interp(r, self.r, self.samples, right=right)
 
+    def scaled(self, c: float) -> "RadialProfile":
+        """c * u, for the samples and the evaluator alike."""
+        ev = self.evaluator
+        return RadialProfile(self.samples * c, self.r_max, self.decay,
+                             (lambda r: c * ev(r)) if ev else None)
+
 
 def radial_profile(fn: Callable | None = None, samples=None,
                    r_max: float = DEFAULT_T_MAX, n: int = DEFAULT_N,
@@ -170,9 +181,9 @@ def radial_profile(fn: Callable | None = None, samples=None,
     return RadialProfile(np.asarray(samples, float), r_max, decay, fn)
 
 
-def _constant_angular(grid: SphereGrid, c: float = 1.0) -> SphericalFunction:
-    fun = constant_function(grid, c)
-    fun.spectrum = HarmonicSpectrum(0, np.array([c * math.sqrt(FOUR_PI)]))
+def _constant_angular(grid: SphereGrid) -> SphericalFunction:
+    fun = constant_function(grid, 1.0)
+    fun.spectrum = HarmonicSpectrum.mode(0, 0, math.sqrt(FOUR_PI))
     return fun
 
 
@@ -225,14 +236,10 @@ class SeparableFunction:
         return out
 
     def scaled(self, c: float) -> "SeparableFunction":
-        terms = [(RadialProfile(p.samples * c, p.r_max, p.decay,
-                                (lambda q: (lambda r: c * q(r)))(p.evaluator)
-                                if p.evaluator else None), ang)
-                 for p, ang in self.terms]
-        fr = None
-        if self.fourier_radial is not None:
-            fr = (lambda base: (lambda r: c * base(r)))(self.fourier_radial)
-        return SeparableFunction(terms, fr, self.name)
+        fr = self.fourier_radial
+        return SeparableFunction([(p.scaled(c), ang) for p, ang in self.terms],
+                                 None if fr is None else (lambda r: c * fr(r)),
+                                 self.name)
 
     def require_finite(self, name: str = "f") -> None:
         """Raise InputInvalid on NaN samples anywhere, or on infinite ones
@@ -263,35 +270,35 @@ def separable_radial(fn: Callable | None = None, grid: SphereGrid | None = None,
                              fourier_radial, name)
 
 
+def _modal_function(grid: SphereGrid, l_max: int, r_vals: np.ndarray,
+                    decay: str, modes) -> SeparableFunction:
+    """sum_j u_j(r) Y_j from (j, samples of u_j on r_vals) pairs; the zero
+    function when there are none."""
+    r_max = float(r_vals[-1])
+    terms = [(RadialProfile(u, r_max, decay),
+              synthesize(HarmonicSpectrum.mode(l_max, j), grid))
+             for j, u in modes]
+    if not terms:
+        terms = [(RadialProfile(np.zeros(len(r_vals)), r_max, decay),
+                  _constant_angular(grid))]
+    return SeparableFunction(terms)
+
+
 def separable_from_polar_samples(values: np.ndarray, r_vals: np.ndarray,
                                  grid: SphereGrid, l_max: int,
-                                 decay: str = "schwartz",
-                                 coeff_cut: float = 1e-12) -> SeparableFunction:
+                                 decay: str = "schwartz") -> SeparableFunction:
     """Fit (n_r, n_nodes) polar samples as a sum of harmonic-mode terms.
 
     Each retained (k, m) mode becomes one term: radial coefficient profile
     times the unit harmonic.  Radii must be uniform starting at 0.
     """
     r_vals = np.asarray(r_vals, dtype=float)
-    n_r = len(r_vals)
-    coeffs = np.zeros((n_r, (l_max + 1) ** 2))
-    for i in range(n_r):
-        coeffs[i] = analyze(SphericalFunction(grid, values[i]), l_max).coeffs
-    scale = max(float(np.max(np.abs(coeffs))), 1e-300)
-    terms = []
-    for j in range((l_max + 1) ** 2):
-        if np.max(np.abs(coeffs[:, j])) <= coeff_cut * scale:
-            continue
-        unit = np.zeros((l_max + 1) ** 2)
-        unit[j] = 1.0
-        spec = HarmonicSpectrum(l_max, unit)
-        ang = synthesize(spec, grid)
-        profile = RadialProfile(coeffs[:, j].copy(), float(r_vals[-1]), decay)
-        terms.append((profile, ang))
-    if not terms:
-        terms = [(RadialProfile(np.zeros(n_r), float(r_vals[-1]), decay),
-                  _constant_angular(grid, 1.0))]
-    return SeparableFunction(terms)
+    coeffs = np.array([analyze(SphericalFunction(grid, row), l_max).coeffs
+                       for row in values])
+    cut = _MODE_CUT * max(float(np.max(np.abs(coeffs))), 1e-300)
+    return _modal_function(grid, l_max, r_vals, decay,
+                           [(j, col.copy()) for j, col in enumerate(coeffs.T)
+                            if not np.max(np.abs(col)) <= cut])
 
 
 def separable_power(phi: SeparableFunction, e: float, l_max: int = 8,
@@ -516,18 +523,18 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
                 "algebraic-tagged profile: hyperplane integrals are not "
                 "guaranteed integrable"
             )
+        if not np.all(np.isfinite(profile.samples)):
+            # u infinite at r = 0 makes the planes through the origin diverge
+            raise InputInvalid(
+                "radial profile has non-finite samples; plane integrals "
+                "need a profile that is finite everywhere, r = 0 included")
         spec = ang.spectrum
-        for k in range(0, spec.l_max + 1):
-            block = spec.degree_slice(k)
-            if np.max(np.abs(block)) <= 1e-14 * max(np.max(np.abs(spec.coeffs)), 1e-300):
-                continue
+        for k in spec.live_degrees():
             if k == 0:
                 gk = _radial_plane_integral(profile, uniq)
             else:
                 gk = _degree_plane_integral(profile, k, uniq)
-            part = HarmonicSpectrum(spec.l_max, np.zeros_like(spec.coeffs))
-            part.coeffs[k * k:(k + 1) * (k + 1)] = block
-            ang_k = evaluate_spectrum(part, directions)
+            ang_k = evaluate_spectrum(spec.degree_part(k), directions)
             values += np.outer(ang_k, gk[inv])
     return Sinogram(np.asarray(t, float), np.asarray(directions, float), values,
                     grid=grid, direction_indices=direction_indices)
@@ -538,14 +545,9 @@ def radon_direct_point(phi: SeparableFunction, t: float, theta: np.ndarray,
                        n_alpha: int = 64) -> float:
     """Brute-force plane integral by 2D polar quadrature (cross-validation)."""
     theta = np.asarray(theta, float)
+    e1, e2 = orthonormal_frame(theta)
     theta = theta / np.linalg.norm(theta)
-    pick = np.array([1.0, 0.0, 0.0]) if abs(theta[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = pick - theta * (pick @ theta)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(theta, e1)
-    rho, wr = gauss_legendre(n_rho)
-    rho = 0.5 * rho_max * (rho + 1.0)
-    wr = 0.5 * rho_max * wr
+    rho, wr = radial_gauss_legendre(rho_max, n_rho)
     alpha = TWO_PI * np.arange(n_alpha) / n_alpha
     pts = (t * theta[None, None, :]
            + rho[:, None, None] * (np.cos(alpha)[None, :, None] * e1
@@ -645,17 +647,8 @@ def fourier_along_rays(f: SeparableFunction, directions: np.ndarray,
             base = _radial_fourier(profile, r_vals)
             out += np.outer(evaluate_spectrum(spec, directions), base)
             continue
-        s = profile.r
-        u = profile.samples
-        for k in range(0, spec.l_max + 1):
-            block = spec.degree_slice(k)
-            if np.max(np.abs(block)) <= 1e-14 * max(np.max(np.abs(spec.coeffs)), 1e-300):
-                continue
-            if k % 2 == 1:
-                continue
-            part = HarmonicSpectrum(spec.l_max, np.zeros_like(spec.coeffs))
-            part.coeffs[k * k:(k + 1) * (k + 1)] = block
-            ang_vals = evaluate_spectrum(part, directions)
+        for k in spec.live_degrees(even_only=True):
+            ang_vals = evaluate_spectrum(spec.degree_part(k), directions)
             radial = _degree_radial_fourier(profile, k, r_vals)
             sign = -1.0 if (k // 2) % 2 else 1.0
             out += sign * FOUR_PI * np.outer(ang_vals, radial)
@@ -851,36 +844,35 @@ def certify_intersection_function(f: SeparableFunction,
 # Dual Radon transform and intersection function of data
 # ----------------------------------------------------------------------------
 
-def _require_quadrature(g: Sinogram) -> tuple[np.ndarray, np.ndarray]:
+def _require_quadrature(g: Sinogram) -> None:
     if g.grid is None or g.direction_indices is None:
         raise InputInvalid(
             "sinogram carries no direction quadrature (grid/direction_indices); "
             "attach the sphere grid it was sampled on"
         )
-    w = 2.0 * g.grid.weights[g.direction_indices]  # antipodal double cover
-    return g.directions, w
 
 
 def _analysis_matrix(grid: SphereGrid, l_max: int) -> np.ndarray:
     """Matrix B with B @ values = harmonic coefficients (one basis row each)."""
-    nb = (l_max + 1) ** 2
-    out = np.empty((nb, grid.n_nodes))
-    unit = np.zeros(nb)
-    for j in range(nb):
-        unit[:] = 0.0
-        unit[j] = 1.0
-        out[j] = evaluate_spectrum(HarmonicSpectrum(l_max, unit.copy()),
-                                   grid.nodes) * grid.weights
-    return out
+    return np.array([evaluate_spectrum(HarmonicSpectrum.mode(l_max, j),
+                                       grid.nodes) * grid.weights
+                     for j in range((l_max + 1) ** 2)])
 
 
-def _full_direction_rows(g: Sinogram) -> np.ndarray:
-    """(n_nodes, n_t) data rows extended evenly to the whole direction grid."""
-    full = np.zeros((g.grid.n_nodes, len(g.t)))
+def _full_direction_rows(g: Sinogram, rows: np.ndarray) -> np.ndarray:
+    """Per-direction rows of g (one per g.directions) extended evenly to the
+    whole direction grid: (n_nodes, row length)."""
+    full = np.zeros((g.grid.n_nodes, rows.shape[1]))
     for d, idx in enumerate(g.direction_indices):
-        full[idx] = g.values[d]
-        full[g.grid.antipode[idx]] = g.values[d]
+        full[idx] = rows[d]
+        full[g.grid.antipode[idx]] = rows[d]
     return full
+
+
+def _rows_equal(g: Sinogram) -> bool:
+    """True when every direction carries the same data row (radial data)."""
+    return bool(np.max(np.abs(g.values - g.values[0]))
+                <= 1e-12 * max(float(np.max(np.abs(g.values))), 1e-300))
 
 
 def dual_radon(g: Sinogram, n_r: int = 128,
@@ -890,9 +882,7 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     if r_max is None:
         r_max = float(-g.t[0])
     r_vals = np.linspace(0.0, r_max, n_r)
-    rows_equal = np.max(np.abs(g.values - g.values[0])) \
-        <= 1e-12 * max(float(np.max(np.abs(g.values))), 1e-300)
-    if rows_equal:
+    if _rows_equal(g):
         # radial reduction: f(r) = (2 pi / r) * int_{-r}^{r} g0(s) ds
         from scipy.integrate import cumulative_simpson
         from scipy.interpolate import CubicHermiteSpline
@@ -918,28 +908,18 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     #     = Y_k(x/|x|) * 2 pi int_{-1}^{1} G(|x| c) P_k(c) dc.
     from scipy.interpolate import CubicSpline
 
-    coeffs_t = _analysis_matrix(grid, l_max) @ _full_direction_rows(g)
+    coeffs_t = _analysis_matrix(grid, l_max) @ _full_direction_rows(g, g.values)
     c_nodes, c_w = gauss_legendre(200)
-    scale = max(float(np.max(np.abs(coeffs_t))), 1e-300)
-    terms = []
-    unit = np.zeros((l_max + 1) ** 2)
+    cut = _MODE_CUT * max(float(np.max(np.abs(coeffs_t))), 1e-300)
+    t_eval = np.clip(np.outer(r_vals, c_nodes), g.t[0], g.t[-1])
+    modes = []
     for k in range(0, l_max + 1, 2):
         pk_w = c_w * eval_legendre(k, c_nodes)
-        t_eval = np.clip(np.outer(r_vals, c_nodes), g.t[0], g.t[-1])
         for j in range(k * k, (k + 1) * (k + 1)):
-            if np.max(np.abs(coeffs_t[j])) <= 1e-12 * scale:
-                continue
-            spline = CubicSpline(g.t, coeffs_t[j])
-            f_j = TWO_PI * (spline(t_eval) @ pk_w)
-            unit[:] = 0.0
-            unit[j] = 1.0
-            ang = synthesize(HarmonicSpectrum(l_max, unit.copy()), grid)
-            terms.append((RadialProfile(f_j, float(r_vals[-1]), "algebraic"),
-                          ang))
-    if not terms:
-        terms = [(RadialProfile(np.zeros(n_r), float(r_vals[-1]), "algebraic"),
-                  _constant_angular(grid, 1.0))]
-    return SeparableFunction(terms)
+            if not np.max(np.abs(coeffs_t[j])) <= cut:
+                spline = CubicSpline(g.t, coeffs_t[j])
+                modes.append((j, TWO_PI * (spline(t_eval) @ pk_w)))
+    return _modal_function(grid, l_max, r_vals, "algebraic", modes)
 
 
 def intersection_function_of(g: Sinogram, n_r: int = 128,
@@ -957,11 +937,9 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
     omega0, ghat0 = fourier_1d(g.values[0], g.dt)
     s = omega0[n_t // 2:]               # frequencies >= 0
     h0 = ghat0[n_t // 2:]
-    rows_equal = np.max(np.abs(g.values - g.values[0])) \
-        <= 1e-12 * max(float(np.max(np.abs(g.values))), 1e-300)
-    if rows_equal:
-        n_fine = max(n_r, 768)
-        r_vals = np.linspace(0.0, r_max, n_fine)
+    n_fine = max(n_r, 768)
+    r_vals = np.linspace(0.0, r_max, n_fine)
+    if _rows_equal(g):
         # f = (1/pi) * transform of s^{-2} h(s): f(r) = (4/r) int h(s) sin(rs)/s ds
         integ = np.empty((n_fine - 1, len(s)))
         integ[:, 1:] = np.sin(np.outer(r_vals[1:], s[1:])) * (h0[1:] / s[1:])[None, :]
@@ -976,32 +954,21 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
         g_rows = g.values[:1]
     else:
         _require_quadrature(g)
-        grid = g.grid
         directions = g.directions
-        n_fine = max(n_r, 768)
-        r_vals = np.linspace(0.0, r_max, n_fine)
         # transform each data row, extend evenly, expand in harmonics
-        H = np.zeros((grid.n_nodes, len(s)))
-        for d, idx in enumerate(g.direction_indices):
-            _, ghat = fourier_1d(g.values[d], g.dt)
-            H[idx] = ghat[n_t // 2:]
-            H[grid.antipode[idx]] = ghat[n_t // 2:]
-        coeffs = (_analysis_matrix(grid, l_max) @ H).T   # (len(s), nb)
-        vals = np.zeros((n_fine, grid.n_nodes))
-        unit = np.zeros((l_max + 1) ** 2)
+        ghat = np.array([fourier_1d(row, g.dt)[1][n_t // 2:] for row in g.values])
+        coeffs = (_analysis_matrix(g.grid, l_max)
+                  @ _full_direction_rows(g, ghat)).T     # (len(s), nb)
+        cut = _MODE_CUT * max(np.max(np.abs(coeffs)), 1e-300)
+        modes = []
         for k in range(0, l_max + 1, 2):
             jk = spherical_jn(k, np.outer(r_vals, s))
             sign = -1.0 if (k // 2) % 2 else 1.0
             for j in range(k * k, (k + 1) * (k + 1)):
-                if np.max(np.abs(coeffs[:, j])) <= 1e-12 * max(np.max(np.abs(coeffs)), 1e-300):
-                    continue
-                radial = np.trapezoid(jk * coeffs[:, j][None, :], s, axis=1)
-                unit[:] = 0.0
-                unit[j] = 1.0
-                ang = synthesize(HarmonicSpectrum(l_max, unit), grid)
-                vals += (sign * FOUR_PI / math.pi) * np.outer(radial, ang.values)
-        f = separable_from_polar_samples(vals, r_vals, grid, l_max,
-                                         decay="algebraic")
+                if not np.max(np.abs(coeffs[:, j])) <= cut:
+                    radial = np.trapezoid(jk * coeffs[:, j][None, :], s, axis=1)
+                    modes.append((j, (sign * FOUR_PI / math.pi) * radial))
+        f = _modal_function(g.grid, l_max, r_vals, "algebraic", modes)
         g_rows = g.values
     # consistency checks, in the frequency window where the data has signal
     live = np.abs(h0) > 1e-6 * max(float(np.max(np.abs(h0))), 1e-300)
@@ -1098,9 +1065,7 @@ def classification_witness(f: SeparableFunction,
         omega, mhat = cert.transform_data
         measures.append(RayMeasure(omega, mhat, dir_nodes[d]))
     # LHS quadrature nodes
-    rg, wg = gauss_legendre(n_radial)
-    rg = 0.5 * r_max * (rg + 1.0)
-    wg = 0.5 * r_max * wg
+    rg, wg = radial_gauss_legendre(r_max, n_radial)
     pts = (rg[:, None, None] * grid.nodes[None, :, :]).reshape(-1, 3)
     f_vals = f.values_polar(rg)
     residuals = {}

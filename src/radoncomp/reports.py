@@ -56,8 +56,7 @@ def _library_version() -> str:
 def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
                 certificates: list, norms: dict, margins: dict,
                 residuals: dict, wall_seconds: float, exit_code: int,
-                notes: str = "", raw_config: dict | None = None,
-                validate: bool = True) -> dict:
+                notes: str = "", raw_config: dict | None = None) -> dict:
     """Write report.json and manifest.json; returns the report dict."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,8 +71,7 @@ def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
         "notes": notes,
         "timing": {"wall_seconds": float(wall_seconds)},
     }
-    if validate:
-        validate_report(report)
+    validate_report(report)
     with open(out / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -94,10 +92,9 @@ def write_sphere_csv(path: str | Path, f: SphericalFunction) -> None:
     grid = f.grid
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,y,z,weight,value\n")
-        for i in range(grid.n_nodes):
-            x, y, z = grid.nodes[i]
-            fh.write(f"{x!r},{y!r},{z!r},{grid.weights[i]!r},"
-                     f"{float(f.values[i])!r}\n")
+        for (x, y, z), w, v in zip(grid.nodes.tolist(), grid.weights.tolist(),
+                                   f.values.tolist()):
+            fh.write(f"{x!r},{y!r},{z!r},{w!r},{v!r}\n")
 
 
 def write_transform_csv(path: str | Path, t: np.ndarray,

@@ -10,6 +10,10 @@ real orthonormal spherical harmonics without the Condon-Shortley phase,
 
 where Q_k^m = sqrt((2k+1)/(4 pi) * (k-m)!/(k+m)!) * P_k^m (P_k^m without the
 (-1)^m phase).  Coefficients are stored flat with index k*k + k + m.
+
+Single-degree (``degree_part``) and single-mode (``HarmonicSpectrum.mode``)
+spectra, and the degrees worth transforming (``live_degrees``), are built only
+here; the other modules act degree by degree through these.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ __all__ = [
 ]
 
 FOUR_PI = 4.0 * math.pi
+# Coefficients at most this fraction of a spectrum's largest one are absent.
+_NEGLIGIBLE = 1e-14
 
 
 def normalized_legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
@@ -101,6 +107,23 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def radial_gauss_legendre(r_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights mapped to [0, r_max]."""
+    x, w = gauss_legendre(n)
+    return 0.5 * r_max * (x + 1.0), 0.5 * r_max * w
+
+
+def orthonormal_frame(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors e1, e2 with (e1, e2, xi / |xi|) a right-handed frame."""
+    xi = np.asarray(xi, dtype=float)
+    xi = xi / np.linalg.norm(xi)
+    pick = np.array([1.0, 0.0, 0.0]) if abs(xi[0]) <= 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = pick - xi * (pick @ xi)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(xi, e1)
+    return e1, e2
+
+
 @lru_cache(maxsize=32)
 def _build_grid_cached(n_polar: int, n_azimuth: int) -> SphereGrid:
     x, glw = gauss_legendre(n_polar)
@@ -137,11 +160,42 @@ class HarmonicSpectrum:
         if self.coeffs.shape != (expected,):
             raise ValueError(f"expected {expected} coefficients, got {self.coeffs.shape}")
 
+    @classmethod
+    def mode(cls, l_max: int, j: int, c: float = 1.0) -> "HarmonicSpectrum":
+        """c times the single basis function with flat index j."""
+        coeffs = np.zeros((l_max + 1) ** 2)
+        coeffs[j] = c
+        return cls(l_max, coeffs)
+
     def coeff(self, k: int, m: int) -> float:
         return float(self.coeffs[k * k + k + m])
 
     def degree_slice(self, k: int) -> np.ndarray:
         return self.coeffs[k * k : (k + 1) ** 2]
+
+    def degree_part(self, k: int) -> "HarmonicSpectrum":
+        """The degree-k block alone; every other coefficient is zero."""
+        coeffs = np.zeros_like(self.coeffs)
+        coeffs[k * k:(k + 1) ** 2] = self.degree_slice(k)
+        return HarmonicSpectrum(self.l_max, coeffs)
+
+    def even_part(self) -> "HarmonicSpectrum":
+        """The even-degree blocks alone; odd degrees are zeroed."""
+        return self.scaled_by_degree(1.0 - np.arange(self.l_max + 1) % 2)
+
+    def live_modes(self, even_only: bool = False) -> list[int]:
+        """Flat indices of the coefficients above 1e-14 times the largest one
+        (NaN counts as live, so bad input propagates), optionally in even
+        degrees only."""
+        size = np.abs(self.coeffs)
+        live = ~(size <= _NEGLIGIBLE * max(np.max(size), 1e-300))
+        if even_only:
+            live &= self.degrees() % 2 == 0
+        return np.flatnonzero(live).tolist()
+
+    def live_degrees(self, even_only: bool = False) -> list[int]:
+        """Ascending degrees with at least one live coefficient (live_modes)."""
+        return sorted(set(self.degrees()[self.live_modes(even_only)].tolist()))
 
     def degrees(self) -> np.ndarray:
         """Degree k of each flat coefficient slot."""
@@ -158,13 +212,11 @@ class HarmonicSpectrum:
             return HarmonicSpectrum(l_max, out)
         return HarmonicSpectrum(l_max, self.coeffs[: (l_max + 1) ** 2].copy())
 
-    def even_part_residual(self, rel_tol: float = 1e-10) -> float:
+    def even_part_residual(self) -> float:
         """Relative size of odd-degree content (0 for an even function)."""
         scale = float(np.max(np.abs(self.coeffs))) or 1.0
-        odd = [self.degree_slice(k) for k in range(1, self.l_max + 1, 2)]
-        if not odd:
-            return 0.0
-        return float(max(np.max(np.abs(o)) for o in odd)) / scale
+        odd = self.coeffs[self.degrees() % 2 == 1]
+        return float(np.max(np.abs(odd), initial=0.0)) / scale
 
 
 @dataclass

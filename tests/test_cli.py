@@ -44,6 +44,15 @@ def test_shipped_configs_run(tmp_path, name, expected):
     jsonschema.validate(report, report_schema())
     assert report["scenario"] == kind_of(name)
     assert report["timing"]["wall_seconds"] >= 0.0
+    # every CSV cell below the optional column-name header is a plain float
+    for path in out.glob("*.csv"):
+        rows = [line for line in path.read_text().splitlines()
+                if not line.startswith("#")]
+        if rows[0][0].isalpha():
+            rows = rows[1:]
+        assert rows, path.name
+        for row in rows:
+            [float(cell) for cell in row.split(",")]
 
 
 def test_report_byte_reproducible(tmp_path):
@@ -110,6 +119,18 @@ def test_non_finite_samples_are_input_error(tmp_path):
         "[scenario]\nkind = rn-compare\np = 1\n"
         "[functions]\nphi_radial = exp(-r^2) * (r - 1)^0.5\n"
         "psi_radial = 1.3*exp(-0.9*r^2)\n"
+        "[output]\ndir = out\n")
+    assert main(["rn-compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
+def test_infinite_origin_profile_is_input_error(tmp_path):
+    # gauss_r2 = e^{-r^2} / r^2 is infinite at r = 0: its plane integrals
+    # through the origin diverge
+    cfg = tmp_path / "r2.ini"
+    cfg.write_text(
+        "[scenario]\nkind = rn-compare\np = 1\n"
+        "[functions]\nphi_radial = gauss_r2\npsi_radial = 1.2*gauss_r2\n"
         "[output]\ndir = out\n")
     assert main(["rn-compare", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1

@@ -135,6 +135,16 @@ def test_nan_at_origin_and_inf_elsewhere_refused(grid16, index, bad):
         certify_intersection_function(_gaussian_samples(grid16, index, bad))
 
 
+def test_infinite_origin_refused_by_plane_integrals(grid16):
+    # the plane integrals of e^{-r^2} / r^2 diverge on planes through the
+    # origin, so there is no sinogram to compare
+    f = catalog_entry("gauss-r2", grid16).f
+    with pytest.raises(InputInvalid):
+        radon_transform(f)
+    with pytest.raises(InputInvalid):
+        verify_comparison_radon(f, f.scaled(1.2), 1.0)
+
+
 def test_infinite_origin_admitted(grid16):
     # gauss-r2 = e^{-r^2} / r^2 is inf at r = 0 and nowhere else; its L^1
     # norm is 4 pi * sqrt(pi) / 2, and certification gets past the gate to

@@ -190,6 +190,41 @@ def test_even_part_residual():
     assert math.isclose(HarmonicSpectrum(5, coeffs).even_part_residual(), 0.5)
 
 
+def test_degree_parts_sum_to_spectrum():
+    rng = np.random.default_rng(5)
+    spec = HarmonicSpectrum(6, rng.standard_normal(49))
+    pts = rng.standard_normal((40, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    total = sum(evaluate_spectrum(spec.degree_part(k), pts) for k in range(7))
+    assert np.max(np.abs(total - evaluate_spectrum(spec, pts))) < 1e-13
+    even = spec.even_part()
+    assert np.array_equal(even.coeffs[spec.degrees() % 2 == 0],
+                          spec.coeffs[spec.degrees() % 2 == 0])
+    assert even.even_part_residual() == 0.0
+
+
+def test_mode_round_trip(grid16):
+    l_max = 6
+    unit = np.eye((l_max + 1) ** 2)
+    for j in range((l_max + 1) ** 2):
+        mode = synthesize(HarmonicSpectrum.mode(l_max, j), grid16)
+        got = analyze(mode, l_max).coeffs
+        assert np.max(np.abs(got - unit[j])) < 1e-13, j
+
+
+def test_live_degrees_skip_odd_and_negligible():
+    coeffs = np.zeros(36)
+    coeffs[0] = 1.0        # degree 0
+    coeffs[2] = 0.5        # degree 1
+    coeffs[5] = 1e-15      # degree 2, below 1e-14 of the largest
+    coeffs[20] = -0.3      # degree 4
+    coeffs[30] = 1e-3      # degree 5
+    spec = HarmonicSpectrum(5, coeffs)
+    assert spec.live_degrees() == [0, 1, 4, 5]
+    assert spec.live_degrees(even_only=True) == [0, 4]
+    assert spec.live_modes(even_only=True) == [0, 20]
+
+
 def test_antipodal_residual_even_vs_odd(grid16):
     even = grid_function(grid16, lambda u: u[:, 2] ** 2)
     odd = grid_function(grid16, lambda u: u[:, 2])
