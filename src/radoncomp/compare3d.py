@@ -306,7 +306,7 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
     r_vals = np.linspace(0.0, r_max, n_r)
     angular = {}                                   # degree -> cap modes
     for j in cap_spec.live_modes(even_only=True):
-        angular.setdefault(math.isqrt(j), []).append(synthesize(
+        angular.setdefault(int(cap_spec.degrees()[j]), []).append(synthesize(
             HarmonicSpectrum.mode(cap_spec.l_max, j, cap_spec.coeffs[j]), grid))
     s_maxes = [max(20.0 / sigma, 4.0 * abs(t0), 40.0) for t0, sigma in lattice]
     radial = {}                                    # (lattice index, k) -> h_k
@@ -404,11 +404,6 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
             f"psi^{{p-1}} is certified as an intersection function at "
             f"p = {p}; the comparison theorem applies and no counterexample "
             "exists"
-        )
-    if cert.verdict == "inconclusive":
-        raise ConstructionFailed(
-            "certification of psi^{p-1} is inconclusive; no negative window "
-            "to target"
         )
     failing = [d for d, c in enumerate(cert.per_direction)
                if c.verdict == "not-positive-definite"]

@@ -61,6 +61,7 @@ class StarBody:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        self.radial.require_finite("radial function")
         if self.radial.min() <= 0.0:
             raise NotPositive(f"radial function of {self.name or 'star body'} must be positive")
         if self.radial.antipodal_residual() > 1e-8 * max(self.radial.max_abs(), 1.0):
@@ -133,19 +134,18 @@ def _newton_polish_extremum(spec: HarmonicSpectrum, node: np.ndarray,
                             maximize: bool) -> tuple[np.ndarray, float]:
     """One finite-difference Newton step in the tangent plane at the best node."""
     e1, e2 = orthonormal_frame(node)
-
-    def at(a, b):
-        p = node + a * e1 + b * e2
-        p = p / np.linalg.norm(p)
-        return float(evaluate_spectrum(spec, p[None, :])[0])
-
     h = 1e-4
-    f0 = at(0, 0)
-    ga = (at(h, 0) - at(-h, 0)) / (2 * h)
-    gb = (at(0, h) - at(0, -h)) / (2 * h)
-    haa = (at(h, 0) - 2 * f0 + at(-h, 0)) / h ** 2
-    hbb = (at(0, h) - 2 * f0 + at(0, -h)) / h ** 2
-    hab = (at(h, h) - at(h, -h) - at(-h, h) + at(-h, -h)) / (4 * h ** 2)
+    # the stencil in one evaluation: centre, +-h e1, +-h e2, the diagonals
+    ab = h * np.array([[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1],
+                       [1, 1], [1, -1], [-1, 1], [-1, -1]])
+    pts = node + ab[:, :1] * e1 + ab[:, 1:] * e2
+    f0, fp0, fm0, f0p, f0m, fpp, fpm, fmp, fmm = evaluate_spectrum(
+        spec, pts / np.linalg.norm(pts, axis=1)[:, None]).tolist()
+    ga = (fp0 - fm0) / (2 * h)
+    gb = (f0p - f0m) / (2 * h)
+    haa = (fp0 - 2 * f0 + fm0) / h ** 2
+    hbb = (f0p - 2 * f0 + f0m) / h ** 2
+    hab = (fpp - fpm - fmp + fmm) / (4 * h ** 2)
     det = haa * hbb - hab * hab
     if abs(det) < 1e-12:
         return node, f0
@@ -171,6 +171,8 @@ def verify_comparison_spherical(f: SphericalFunction, g: SphericalFunction,
     replays the proof chain: the Parseval pairing and the Hoelder (or reverse
     Hoelder) step, asserting ||f||_p <= ||g||_p.
     """
+    f.require_finite("f")
+    g.require_finite("g")
     if f.min() <= 0.0 or g.min() <= 0.0:
         raise NotPositive("comparison inputs must be strictly positive")
     rf = sradon_map(f)
@@ -253,6 +255,7 @@ def construct_counterexample_spherical(base: SphericalFunction, p: float,
     """
     if not (p > 1.0 or 0.0 < p < 1.0):
         raise ValueError(f"p must be in (0,1) or (1,inf), got {p}")
+    base.require_finite("base")
     if base.min() <= 0.0:
         raise NotPositive("base function must be strictly positive")
     grid = base.grid
@@ -352,6 +355,7 @@ def slicing_check(f: SphericalFunction, p: float,
     reverses and the minimum over xi is used.  The extremum over directions is
     taken on the grid with one Newton polish step from the best node.
     """
+    f.require_finite("f")
     if f.min() <= 0.0:
         raise NotPositive("f must be strictly positive")
     cert = certify_pd_r1(f, p - 1.0)

@@ -36,8 +36,10 @@ from .sphere import (
     SphereGrid,
     SphericalFunction,
     analyze,
+    analyze_rows,
     build_grid,
     constant_function,
+    degree_values,
     evaluate_spectrum,
     gauss_legendre,
     orthonormal_frame,
@@ -293,12 +295,11 @@ def separable_from_polar_samples(values: np.ndarray, r_vals: np.ndarray,
     times the unit harmonic.  Radii must be uniform starting at 0.
     """
     r_vals = np.asarray(r_vals, dtype=float)
-    coeffs = np.array([analyze(SphericalFunction(grid, row), l_max).coeffs
-                       for row in values])
+    coeffs = analyze_rows(grid, np.transpose(values), l_max)
     cut = _MODE_CUT * max(float(np.max(np.abs(coeffs))), 1e-300)
     return _modal_function(grid, l_max, r_vals, decay,
-                           [(j, col.copy()) for j, col in enumerate(coeffs.T)
-                            if not np.max(np.abs(col)) <= cut])
+                           [(j, u) for j, u in enumerate(coeffs)
+                            if not np.max(np.abs(u)) <= cut])
 
 
 def separable_power(phi: SeparableFunction, e: float, l_max: int = 8,
@@ -529,13 +530,13 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
                 "radial profile has non-finite samples; plane integrals "
                 "need a profile that is finite everywhere, r = 0 included")
         spec = ang.spectrum
+        ang_k = degree_values(spec, directions)
         for k in spec.live_degrees():
             if k == 0:
                 gk = _radial_plane_integral(profile, uniq)
             else:
                 gk = _degree_plane_integral(profile, k, uniq)
-            ang_k = evaluate_spectrum(spec.degree_part(k), directions)
-            values += np.outer(ang_k, gk[inv])
+            values += np.outer(ang_k[k], gk[inv])
     return Sinogram(np.asarray(t, float), np.asarray(directions, float), values,
                     grid=grid, direction_indices=direction_indices)
 
@@ -647,11 +648,11 @@ def fourier_along_rays(f: SeparableFunction, directions: np.ndarray,
             base = _radial_fourier(profile, r_vals)
             out += np.outer(evaluate_spectrum(spec, directions), base)
             continue
+        ang_k = degree_values(spec, directions)
         for k in spec.live_degrees(even_only=True):
-            ang_vals = evaluate_spectrum(spec.degree_part(k), directions)
             radial = _degree_radial_fourier(profile, k, r_vals)
             sign = -1.0 if (k // 2) % 2 else 1.0
-            out += sign * FOUR_PI * np.outer(ang_vals, radial)
+            out += sign * FOUR_PI * np.outer(ang_k[k], radial)
     return out
 
 
@@ -705,7 +706,7 @@ def _degree_radial_fourier(profile: RadialProfile, k: int,
 class IntersectionCertificate:
     """Per-direction positive-definiteness verdicts for m_theta(r) = r^2 f^(r theta)."""
 
-    verdict: str                     # "intersection-function" | "not-intersection-function" | "inconclusive"
+    verdict: str                     # "intersection-function" | "not-intersection-function"
     per_direction: list
     directions: np.ndarray
     witness_direction: np.ndarray | None
@@ -801,7 +802,6 @@ def certify_intersection_function(f: SeparableFunction,
                 "enlarge r_max"
             )
     certs = []
-    verdicts = set()
     witness = None
     witness_val = 0.0
     kappa = 1.0 / (1.0 + r_nodes ** 2)
@@ -818,7 +818,6 @@ def certify_intersection_function(f: SeparableFunction,
         # decaying transforms approach zero at the frequency-grid edge, so the
         # minimum being ~0 is the generic positive case, not a borderline one
         verdict = "not-positive-definite" if v_min < -tol else "positive-definite"
-        verdicts.add(verdict)
         certs.append(PDCertificate(
             verdict=verdict, witness_point=float(omega[i_min]),
             witness_value=v_min, tolerance=tol,
@@ -827,14 +826,10 @@ def certify_intersection_function(f: SeparableFunction,
         if verdict == "not-positive-definite" and v_min < witness_val:
             witness_val = v_min
             witness = directions[d]
-    if verdicts == {"positive-definite"}:
-        overall = "intersection-function"
-    elif "not-positive-definite" in verdicts:
-        overall = "not-intersection-function"
-    else:
-        overall = "inconclusive"
-    return IntersectionCertificate(
-        verdict=overall, per_direction=certs, directions=directions,
+    return IntersectionCertificate(  # v_min < -tol < 0: a failure sets a witness
+        verdict="intersection-function" if witness is None
+        else "not-intersection-function",
+        per_direction=certs, directions=directions,
         witness_direction=witness,
         extra={"direction_source": dir_source, "r_max": r_max, "n": n},
     )
@@ -850,13 +845,6 @@ def _require_quadrature(g: Sinogram) -> None:
             "sinogram carries no direction quadrature (grid/direction_indices); "
             "attach the sphere grid it was sampled on"
         )
-
-
-def _analysis_matrix(grid: SphereGrid, l_max: int) -> np.ndarray:
-    """Matrix B with B @ values = harmonic coefficients (one basis row each)."""
-    return np.array([evaluate_spectrum(HarmonicSpectrum.mode(l_max, j),
-                                       grid.nodes) * grid.weights
-                     for j in range((l_max + 1) ** 2)])
 
 
 def _full_direction_rows(g: Sinogram, rows: np.ndarray) -> np.ndarray:
@@ -908,14 +896,15 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     #     = Y_k(x/|x|) * 2 pi int_{-1}^{1} G(|x| c) P_k(c) dc.
     from scipy.interpolate import CubicSpline
 
-    coeffs_t = _analysis_matrix(grid, l_max) @ _full_direction_rows(g, g.values)
+    coeffs_t = analyze_rows(grid, _full_direction_rows(g, g.values), l_max)
+    deg = HarmonicSpectrum.mode(l_max, 0).degrees()
     c_nodes, c_w = gauss_legendre(200)
     cut = _MODE_CUT * max(float(np.max(np.abs(coeffs_t))), 1e-300)
     t_eval = np.clip(np.outer(r_vals, c_nodes), g.t[0], g.t[-1])
     modes = []
     for k in range(0, l_max + 1, 2):
         pk_w = c_w * eval_legendre(k, c_nodes)
-        for j in range(k * k, (k + 1) * (k + 1)):
+        for j in np.flatnonzero(deg == k):
             if not np.max(np.abs(coeffs_t[j])) <= cut:
                 spline = CubicSpline(g.t, coeffs_t[j])
                 modes.append((j, TWO_PI * (spline(t_eval) @ pk_w)))
@@ -957,16 +946,16 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
         directions = g.directions
         # transform each data row, extend evenly, expand in harmonics
         ghat = np.array([fourier_1d(row, g.dt)[1][n_t // 2:] for row in g.values])
-        coeffs = (_analysis_matrix(g.grid, l_max)
-                  @ _full_direction_rows(g, ghat)).T     # (len(s), nb)
+        coeffs = analyze_rows(g.grid, _full_direction_rows(g, ghat), l_max)
+        deg = HarmonicSpectrum.mode(l_max, 0).degrees()
         cut = _MODE_CUT * max(np.max(np.abs(coeffs)), 1e-300)
         modes = []
         for k in range(0, l_max + 1, 2):
             jk = spherical_jn(k, np.outer(r_vals, s))
             sign = -1.0 if (k // 2) % 2 else 1.0
-            for j in range(k * k, (k + 1) * (k + 1)):
-                if not np.max(np.abs(coeffs[:, j])) <= cut:
-                    radial = np.trapezoid(jk * coeffs[:, j][None, :], s, axis=1)
+            for j in np.flatnonzero(deg == k):
+                if not np.max(np.abs(coeffs[j])) <= cut:
+                    radial = np.trapezoid(jk * coeffs[j][None, :], s, axis=1)
                     modes.append((j, (sign * FOUR_PI / math.pi) * radial))
         f = _modal_function(g.grid, l_max, r_vals, "algebraic", modes)
         g_rows = g.values

@@ -11,9 +11,9 @@ real orthonormal spherical harmonics without the Condon-Shortley phase,
 where Q_k^m = sqrt((2k+1)/(4 pi) * (k-m)!/(k+m)!) * P_k^m (P_k^m without the
 (-1)^m phase).  Coefficients are stored flat with index k*k + k + m.
 
-Single-degree (``degree_part``) and single-mode (``HarmonicSpectrum.mode``)
-spectra, and the degrees worth transforming (``live_degrees``), are built only
-here; the other modules act degree by degree through these.
+Analysis (``analyze_rows``), synthesis and point evaluation (``degree_values``)
+all contract the Legendre table with complex (k, |m|) blocks of the flat
+coefficients, blocked by order m as in SHTns (Schaeffer, G^3 2013).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BandwidthExceeded, DegenerateInput, InvalidGrid
+from .errors import BandwidthExceeded, DegenerateInput, InputInvalid, InvalidGrid
 
 __all__ = [
     "SphereGrid",
@@ -45,25 +45,33 @@ FOUR_PI = 4.0 * math.pi
 _NEGLIGIBLE = 1e-14
 
 
-def normalized_legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Q_k^m(x) for 0 <= m <= k <= l_max, shape (l_max+1, l_max+1, len(x)).
-
-    Entries with m > k are zero.  Uses the standard fully-normalized
-    three-term recurrences, stable to high degree.
-    """
-    x = np.asarray(x, dtype=float)
+def _legendre_rows(l_max: int, x: np.ndarray):
+    """Yield Q_k^m(x), m = 0..l_max (zero for m > k), for k = 0..l_max in turn:
+    the fully-normalized three-term recurrence in k, vectorized over m and
+    seeded by the diagonal (its b term vanishes at m = k - 1)."""
+    x = np.asarray(x, dtype=float).ravel()
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
-    q = np.zeros((l_max + 1, l_max + 1, x.size))
-    q[0, 0] = 1.0 / math.sqrt(FOUR_PI)
-    for m in range(1, l_max + 1):
-        q[m, m] = math.sqrt((2 * m + 1) / (2.0 * m)) * s * q[m - 1, m - 1]
-    for m in range(0, l_max):
-        q[m + 1, m] = math.sqrt(2 * m + 3) * x * q[m, m]
-    for m in range(0, l_max + 1):
-        for k in range(m + 2, l_max + 1):
-            a = math.sqrt((4.0 * k * k - 1.0) / (k * k - m * m))
-            b = math.sqrt(((k - 1.0) ** 2 - m * m) / (4.0 * (k - 1.0) ** 2 - 1.0))
-            q[k, m] = a * (x * q[k - 1, m] - b * q[k - 2, m])
+    older = np.zeros((l_max + 1, x.size))
+    row = np.zeros((l_max + 1, x.size))
+    row[0] = 1.0 / math.sqrt(FOUR_PI)
+    yield row
+    for k in range(1, l_max + 1):
+        mk = np.arange(k)
+        a = np.sqrt((4.0 * k * k - 1.0) / (k * k - mk * mk))[:, None]
+        b = np.sqrt(((k - 1.0) ** 2 - mk * mk) / (4.0 * (k - 1.0) ** 2 - 1.0))[:, None]
+        new = np.zeros_like(row)
+        new[:k] = a * (x * row[:k] - b * older[:k])
+        new[k] = math.sqrt((2 * k + 1) / (2.0 * k)) * s * row[k - 1]
+        older, row = row, new
+        yield row
+
+
+def normalized_legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
+    """Q_k^m(x) for 0 <= m <= k <= l_max, shape (l_max+1, l_max+1, len(x));
+    entries with m > k are zero."""
+    q = np.zeros((l_max + 1, l_max + 1, np.size(x)))
+    for k, row in enumerate(_legendre_rows(l_max, x)):
+        q[k, :k + 1] = row[:k + 1]   # m > k unwritten: untouched zero pages cost no RSS
     return q
 
 
@@ -148,6 +156,40 @@ def build_grid(n_polar: int, n_azimuth: int) -> SphereGrid:
     return _build_grid_cached(n_polar, n_azimuth)
 
 
+def _flat_index(k, m):
+    """Flat slot of degree k, order m (cosine for m >= 0, sine for m < 0)."""
+    return k * k + k + m
+
+
+@lru_cache(maxsize=64)
+def _layout(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Degree k, order |m| and block factor (s_m for cosine slots, -i s_m for
+    sine ones; s_0 = 1, s_m = sqrt 2) of every flat slot, read-only."""
+    deg = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
+    m = np.arange(deg.size) - _flat_index(deg, 0)
+    s = np.where(m == 0, 1.0, math.sqrt(2.0))
+    out = deg, np.abs(m), np.where(m < 0, -1j * s, s)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _to_blocks(coeffs: np.ndarray, l_max: int) -> np.ndarray:
+    """Blocks z[k, m] = s_m (a_{k,m} - i a_{k,-m}) of a flat spectrum, so that
+    sum_j a_j Y_j = Re sum_{k,m} z[k, m] Q_k^m e^{i m phi}."""
+    deg, order, phase = _layout(l_max)
+    z = np.zeros((l_max + 1, l_max + 1), dtype=complex)
+    np.add.at(z, (deg, order), phase * coeffs)
+    return z
+
+
+def _from_blocks(z: np.ndarray) -> np.ndarray:
+    """Flat coefficients (nb, n) of a batch of (k, |m|, n) blocks: the
+    transpose of ``_to_blocks``, so analysis is the adjoint of synthesis."""
+    deg, order, phase = _layout(z.shape[0] - 1)
+    return (phase.conj()[:, None] * z[deg, order]).real
+
+
 @dataclass(frozen=True)
 class HarmonicSpectrum:
     """Real coefficients a_{k,m}, flat layout index = k*k + k + m."""
@@ -168,16 +210,7 @@ class HarmonicSpectrum:
         return cls(l_max, coeffs)
 
     def coeff(self, k: int, m: int) -> float:
-        return float(self.coeffs[k * k + k + m])
-
-    def degree_slice(self, k: int) -> np.ndarray:
-        return self.coeffs[k * k : (k + 1) ** 2]
-
-    def degree_part(self, k: int) -> "HarmonicSpectrum":
-        """The degree-k block alone; every other coefficient is zero."""
-        coeffs = np.zeros_like(self.coeffs)
-        coeffs[k * k:(k + 1) ** 2] = self.degree_slice(k)
-        return HarmonicSpectrum(self.l_max, coeffs)
+        return float(self.coeffs[_flat_index(k, m)])
 
     def even_part(self) -> "HarmonicSpectrum":
         """The even-degree blocks alone; odd degrees are zeroed."""
@@ -198,8 +231,8 @@ class HarmonicSpectrum:
         return sorted(set(self.degrees()[self.live_modes(even_only)].tolist()))
 
     def degrees(self) -> np.ndarray:
-        """Degree k of each flat coefficient slot."""
-        return np.repeat(np.arange(self.l_max + 1), 2 * np.arange(self.l_max + 1) + 1)
+        """Degree k of each flat coefficient slot (read-only)."""
+        return _layout(self.l_max)[0]
 
     def scaled_by_degree(self, factors: np.ndarray) -> "HarmonicSpectrum":
         """Multiply every degree-k block by factors[k]."""
@@ -244,55 +277,17 @@ class SphericalFunction:
     def integral(self) -> float:
         return float(self.grid.weights @ self.values)
 
-
-class _Transform:
-    """Cached separable analysis/synthesis operator for one (grid, l_max)."""
-
-    def __init__(self, grid: SphereGrid, l_max: int):
-        self.grid = grid
-        self.l_max = l_max
-        self.q = normalized_legendre_table(l_max, grid.x)  # (L+1, L+1, n_polar)
-        m = np.arange(l_max + 1)
-        # e^{i m phi_j}; analysis uses the conjugate
-        self.e = np.exp(1j * np.outer(m, grid.phi))  # (L+1, n_azimuth)
-
-    def analyze(self, values: np.ndarray) -> HarmonicSpectrum:
-        g = self.grid
-        v = values.reshape(g.n_polar, g.n_azimuth)
-        # F[i, m] = (2 pi / n_az) sum_j v_ij e^{-i m phi_j}
-        f = (2.0 * math.pi / g.n_azimuth) * (v @ self.e.conj().T)
-        cm = f.real          # cos-component integrals per polar ring
-        sm = -f.imag         # sin-component integrals
-        wc = g.glw[:, None] * cm
-        ws = g.glw[:, None] * sm
-        coeffs = np.zeros((self.l_max + 1) ** 2)
-        for k in range(self.l_max + 1):
-            base = k * k + k
-            coeffs[base] = self.q[k, 0] @ wc[:, 0]
-            for m in range(1, k + 1):
-                coeffs[base + m] = math.sqrt(2.0) * (self.q[k, m] @ wc[:, m])
-                coeffs[base - m] = math.sqrt(2.0) * (self.q[k, m] @ ws[:, m])
-        return HarmonicSpectrum(self.l_max, coeffs)
-
-    def synthesize(self, spectrum: HarmonicSpectrum) -> np.ndarray:
-        g = self.grid
-        L = spectrum.l_max
-        a = np.zeros((g.n_polar, self.l_max + 1))  # cos-amplitude per (ring, m)
-        b = np.zeros((g.n_polar, self.l_max + 1))  # sin-amplitude
-        for k in range(min(L, self.l_max) + 1):
-            base = k * k + k
-            a[:, 0] += spectrum.coeffs[base] * self.q[k, 0]
-            for m in range(1, k + 1):
-                qkm = math.sqrt(2.0) * self.q[k, m]
-                a[:, m] += spectrum.coeffs[base + m] * qkm
-                b[:, m] += spectrum.coeffs[base - m] * qkm
-        v = ((a - 1j * b) @ self.e).real
-        return v.ravel()
+    def require_finite(self, name: str = "f") -> None:
+        """Raise InputInvalid when any sample is NaN or infinite."""
+        if not np.isfinite(self.values).all():
+            raise InputInvalid(f"{name} has non-finite samples")
 
 
 @lru_cache(maxsize=64)
-def _transform(grid: SphereGrid, l_max: int) -> _Transform:
-    return _Transform(grid, l_max)
+def _tables(grid: SphereGrid, l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q_k^m on the polar nodes and cos / sin(m phi) on the azimuth nodes."""
+    m_phi = np.outer(np.arange(l_max + 1), grid.phi)
+    return normalized_legendre_table(l_max, grid.x), np.cos(m_phi), np.sin(m_phi)
 
 
 def _as_values(f) -> tuple[SphereGrid, np.ndarray]:
@@ -311,34 +306,49 @@ def analyze(f: SphericalFunction, l_max: int | None = None) -> HarmonicSpectrum:
             f"l_max={l_max} exceeds grid bandwidth {grid.bandwidth} "
             f"(grid {grid.n_polar}x{grid.n_azimuth})"
         )
-    return _transform(grid, l_max).analyze(values)
+    return HarmonicSpectrum(l_max, analyze_rows(grid, values, l_max))
+
+
+def analyze_rows(grid: SphereGrid, values: np.ndarray, l_max: int) -> np.ndarray:
+    """``analyze`` column by column: node values (n_nodes[, n]) to flat
+    coefficients ((l_max+1)^2[, n]), without the bandwidth check."""
+    q, cos, sin = _tables(grid, l_max)
+    v = np.asarray(values, dtype=float).reshape(grid.n_polar, grid.n_azimuth, -1)
+    w = (grid.glw * (2.0 * math.pi / grid.n_azimuth))[:, None, None]
+    # ring integrals against e^{-i m phi}, then contracted over rings
+    re = np.einsum("kmi,imc->kmc", q, w * (cos @ v))
+    im = np.einsum("kmi,imc->kmc", q, w * (sin @ v))
+    return _from_blocks(re - 1j * im).reshape((-1,) + np.shape(values)[1:])
 
 
 def synthesize(spectrum: HarmonicSpectrum, grid: SphereGrid,
                parity: str | None = None) -> SphericalFunction:
     """Pointwise evaluation of sum a_{k,m} Y_{k,m} at the grid nodes."""
-    values = _transform(grid, spectrum.l_max).synthesize(spectrum)
+    q, cos, sin = _tables(grid, spectrum.l_max)
+    z = _to_blocks(spectrum.coeffs, spectrum.l_max)
+    re = np.einsum("kmi,km->im", q, z.real)      # (n_polar, L+1)
+    im = np.einsum("kmi,km->im", q, z.imag)
+    values = (re @ cos - im @ sin).ravel()
     return SphericalFunction(grid, values, spectrum=spectrum, parity=parity)
+
+
+def degree_values(spectrum: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
+    """Row k: sum_m a_{k,m} Y_{k,m} at unit vectors (n_pts, 3); memory
+    O(l_max * n_pts), the Legendre rows being built one degree at a time."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    L = spectrum.l_max
+    m_phi = np.outer(np.arange(L + 1), np.arctan2(points[:, 1], points[:, 0]))
+    cos, sin = np.cos(m_phi), np.sin(m_phi)
+    z = _to_blocks(spectrum.coeffs, L)
+    out = np.empty((L + 1, len(points)))
+    for k, q in enumerate(_legendre_rows(L, np.clip(points[:, 2], -1.0, 1.0))):
+        out[k] = z.real[k] @ (q * cos) - z.imag[k] @ (q * sin)
+    return out
 
 
 def evaluate_spectrum(spectrum: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
     """Evaluate the harmonic expansion at arbitrary unit vectors (n_pts, 3)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.clip(points[:, 2], -1.0, 1.0)
-    phi = np.arctan2(points[:, 1], points[:, 0])
-    L = spectrum.l_max
-    q = normalized_legendre_table(L, x)
-    out = np.zeros(points.shape[0])
-    cos_m = {m: np.cos(m * phi) for m in range(L + 1)}
-    sin_m = {m: np.sin(m * phi) for m in range(1, L + 1)}
-    for k in range(L + 1):
-        base = k * k + k
-        out += spectrum.coeffs[base] * q[k, 0]
-        for m in range(1, k + 1):
-            qs = math.sqrt(2.0) * q[k, m]
-            out += spectrum.coeffs[base + m] * qs * cos_m[m]
-            out += spectrum.coeffs[base - m] * qs * sin_m[m]
-    return out
+    return degree_values(spectrum, points).sum(axis=0)
 
 
 def grid_function(grid: SphereGrid, fn, parity: str | None = None) -> SphericalFunction:

@@ -124,6 +124,17 @@ def test_non_finite_samples_are_input_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+def test_non_finite_sphere_samples_are_input_error(tmp_path):
+    # (z^2 - 0.5)^0.5 is NaN in the band |z| < 1/sqrt(2)
+    cfg = tmp_path / "nan.ini"
+    cfg.write_text(
+        "[scenario]\nkind = certify-pd\nq = 1\n"
+        "[functions]\nf = (z^2 - 0.5)^0.5 + 1\n"
+        "[output]\ndir = out\n")
+    assert main(["certify-pd", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+
+
 def test_infinite_origin_profile_is_input_error(tmp_path):
     # gauss_r2 = e^{-r^2} / r^2 is infinite at r = 0: its plane integrals
     # through the origin diverge

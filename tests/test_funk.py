@@ -16,6 +16,7 @@ from radoncomp.errors import (
     ConstructionFailed,
     DegenerateInput,
     DominationFails,
+    InputInvalid,
     NotApplicable,
     NotPositive,
 )
@@ -31,6 +32,7 @@ from radoncomp.funk import (
     sradon_spectral,
     verify_comparison_spherical,
 )
+from radoncomp.multipliers import certify_pd_r1
 from radoncomp.sphere import (
     SphericalFunction,
     analyze,
@@ -50,6 +52,26 @@ def zonal(grid, a, k=2):
     f = SphericalFunction(grid, 1.0 + a * eval_legendre(k, z), parity="even")
     f.spectrum = analyze(f, grid.bandwidth)
     return f
+
+
+S2_ENTRY_POINTS = {
+    "certify_pd_r1": lambda f, g: certify_pd_r1(f, 1.0),
+    "verify": lambda f, g: verify_comparison_spherical(f, g, 2.0),
+    "construct": lambda f, g: construct_counterexample_spherical(f, 2.0),
+    "slicing": lambda f, g: slicing_check(f, 2.0),
+    "star_body": lambda f, g: StarBody(f),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", sorted(S2_ENTRY_POINTS))
+def test_non_finite_samples_refused(grid16, entry, bad):
+    # one bad node; without the gate NaN slips past the positivity checks
+    f = zonal(grid16, 0.8)
+    f.values = f.values.copy()
+    f.values[57] = bad
+    with pytest.raises(InputInvalid):
+        S2_ENTRY_POINTS[entry](f, zonal(grid16, 0.1))
 
 
 # ----------------------------------------------------------------------------

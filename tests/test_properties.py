@@ -10,10 +10,19 @@ from conftest import random_even_spectrum
 from radoncomp.exprlang import parse_expr, pretty_print
 from radoncomp.multipliers import multiplier
 from radoncomp.radon3d import radon_transform, separable_radial
-from radoncomp.sphere import analyze, build_grid, synthesize
-from radoncomp.funk import sradon_map
+from radoncomp.sphere import (
+    HarmonicSpectrum,
+    SphericalFunction,
+    analyze,
+    build_grid,
+    evaluate_spectrum,
+    synthesize,
+)
+from radoncomp.funk import sradon_direct, sradon_map
+from radoncomp.multipliers import funk_eigenvalue
 
 GRID = build_grid(16, 32)
+GRID64 = build_grid(64, 128)      # bandwidth 63
 
 SETTINGS = dict(deadline=None, max_examples=25)
 
@@ -27,6 +36,42 @@ def test_analyze_synthesize_round_trip(seed, l_max):
     back = analyze(f, l_max)
     assert np.max(np.abs(back.coeffs - spec.coeffs)) \
         < 1e-10 * max(1.0, float(np.max(np.abs(spec.coeffs))))
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), l_max=st.integers(0, 63))
+@settings(**SETTINGS)
+def test_high_bandwidth_round_trip_and_point_evaluation(seed, l_max):
+    """analyze(synthesize(a)) = a, and the point evaluator reproduces grid
+    synthesis at every node, on the 64x128 grid up to its bandwidth."""
+    rng = np.random.default_rng(seed)
+    spec = HarmonicSpectrum(l_max, rng.standard_normal((l_max + 1) ** 2))
+    f = synthesize(spec, GRID64)
+    scale = max(1.0, float(np.max(np.abs(f.values))))
+    assert np.max(np.abs(analyze(f, l_max).coeffs - spec.coeffs)) \
+        < 1e-10 * max(1.0, float(np.max(np.abs(spec.coeffs))))
+    assert np.max(np.abs(evaluate_spectrum(spec, GRID64.nodes) - f.values)) \
+        < 1e-11 * scale
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1), k=st.integers(0, 31).map(lambda i: 2 * i))
+@settings(**SETTINGS)
+def test_funk_eigenvalue_identity(seed, k):
+    """A degree-k function is an eigenfunction of the great-circle transform
+    with eigenvalue 2 pi P_k(0), through analysis and synthesis on the grid
+    and through direct circle quadrature of the point evaluator."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(64 ** 2)
+    coeffs[k * k:(k + 1) ** 2] = rng.standard_normal(2 * k + 1)
+    spec = HarmonicSpectrum(63, coeffs)
+    f = SphericalFunction(GRID64, synthesize(spec, GRID64).values)
+    lam = funk_eigenvalue(k)
+    scale = float(np.max(np.abs(f.values)))
+    assert np.max(np.abs(sradon_map(f).values - lam * f.values)) < 1e-10 * scale
+    xi = rng.standard_normal(3)
+    xi /= np.linalg.norm(xi)
+    direct = sradon_direct(f, xi)
+    assert abs(direct - lam * float(evaluate_spectrum(spec, xi[None, :])[0])) \
+        < 1e-10 * scale
 
 
 @given(k=st.integers(0, 40).map(lambda i: 2 * i),

@@ -14,8 +14,10 @@ from radoncomp.sphere import (
     HarmonicSpectrum,
     SphericalFunction,
     analyze,
+    analyze_rows,
     build_grid,
     constant_function,
+    degree_values,
     evaluate_spectrum,
     grid_function,
     lp_norm_sphere,
@@ -79,9 +81,9 @@ def test_quadrature_exact_on_polynomial(grid16):
 
 def test_normalized_legendre_matches_scipy():
     x = np.linspace(-0.99, 0.99, 7)
-    q = normalized_legendre_table(10, x)
+    q = normalized_legendre_table(60, x)
     theta = np.arccos(x)
-    for k in (0, 1, 2, 5, 10):
+    for k in range(61):
         for m in range(0, k + 1):
             # scipy's spherical harmonic at phi=0 gives
             # (-1)^m-free normalized associated Legendre up to the CS phase
@@ -138,6 +140,42 @@ def test_evaluate_spectrum_matches_synthesis(grid16):
     assert np.max(np.abs(on_grid - off)) < 1e-12
 
 
+def _real_basis(l_max, pts):
+    """Rows Y_j at the points, from scipy's complex harmonics (independent of
+    the package's Legendre table and block layout)."""
+    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    rows = []
+    for k in range(l_max + 1):
+        block = {}
+        for m in range(k + 1):
+            y = sph_harm_y(k, m, theta, phi) * (-1.0) ** m   # drop CS phase
+            block[m] = y.real if m == 0 else math.sqrt(2.0) * y.real
+            if m:
+                block[-m] = math.sqrt(2.0) * y.imag
+        rows.extend(block[m] for m in range(-k, k + 1))
+    return np.array(rows)
+
+
+def test_evaluate_spectrum_matches_real_basis():
+    rng = np.random.default_rng(24)
+    spec = HarmonicSpectrum(24, rng.standard_normal(625))
+    pts = rng.standard_normal((200, 3))
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    ref = spec.coeffs @ _real_basis(24, pts)
+    assert np.max(np.abs(evaluate_spectrum(spec, pts) - ref)) < 1e-12
+
+
+def test_analyze_rows_matches_analyze(grid16):
+    rng = np.random.default_rng(9)
+    values = rng.standard_normal((grid16.n_nodes, 5))
+    rows = analyze_rows(grid16, values, 10)
+    assert rows.shape == (121, 5)
+    for c in range(5):
+        one = analyze(SphericalFunction(grid16, values[:, c]), 10).coeffs
+        assert np.max(np.abs(rows[:, c] - one)) < 1e-14
+
+
 def test_evaluate_spectrum_legendre_axis():
     # degree-k zonal harmonic evaluated along z equals its closed form
     k = 6
@@ -162,7 +200,6 @@ def test_flat_index_layout():
     assert spec.coeff(1, 0) == 2.0
     assert spec.coeff(1, 1) == 3.0
     assert spec.coeff(3, -3) == 9.0
-    assert list(spec.degree_slice(2)) == [4.0, 5.0, 6.0, 7.0, 8.0]
 
 
 def test_degrees_per_coefficient():
@@ -190,13 +227,18 @@ def test_even_part_residual():
     assert math.isclose(HarmonicSpectrum(5, coeffs).even_part_residual(), 0.5)
 
 
-def test_degree_parts_sum_to_spectrum():
+def test_degree_values_sum_to_spectrum():
     rng = np.random.default_rng(5)
     spec = HarmonicSpectrum(6, rng.standard_normal(49))
     pts = rng.standard_normal((40, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    total = sum(evaluate_spectrum(spec.degree_part(k), pts) for k in range(7))
-    assert np.max(np.abs(total - evaluate_spectrum(spec, pts))) < 1e-13
+    rows = degree_values(spec, pts)
+    assert rows.shape == (7, 40)
+    assert np.max(np.abs(rows.sum(axis=0) - evaluate_spectrum(spec, pts))) < 1e-13
+    basis = _real_basis(6, pts)
+    for k in range(7):
+        block = spec.degrees() == k
+        assert np.max(np.abs(rows[k] - spec.coeffs[block] @ basis[block])) < 1e-13
     even = spec.even_part()
     assert np.array_equal(even.coeffs[spec.degrees() % 2 == 0],
                           spec.coeffs[spec.degrees() % 2 == 0])

@@ -50,18 +50,26 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main() -> int:
+def run_configs(root: Path, tmp: Path):
+    """Run every ``configs/*.ini`` of the checkout at ``root`` with its own
+    ``src``, each into ``tmp/<config stem>``; yield (config, exit code, output
+    directory) in name order."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    for config in sorted((root / "configs").glob("*.ini")):
+        out = tmp / config.stem
+        code = subprocess.run(
+            [sys.executable, "-m", "radoncomp.cli", _kind(config),
+             "--config", str(config), "--out", str(out)],
+            env=env, cwd=tmp, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode
+        yield config, code, out
+
+
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        for config in sorted((ROOT / "configs").glob("*.ini")):
-            out = Path(tmp) / config.stem
-            code = subprocess.run(
-                [sys.executable, "-m", "radoncomp.cli", _kind(config),
-                 "--config", str(config), "--out", str(out)],
-                env=env, cwd=tmp, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL).returncode
+        for config, code, out in run_configs(ROOT, Path(tmp)):
             print(f"{config.name} exit {code}")
             for path in sorted(out.glob("*")):
                 print(f"  {_digest(path)}  {path.name}")
