@@ -100,18 +100,6 @@ def _separable_fn(cfg: ScenarioConfig, prefix: str, grid) -> SeparableFunction:
     return SeparableFunction([(profile, ang)], name=prefix)
 
 
-def _summary_certificate(cert) -> dict:
-    """Collapse an IntersectionCertificate to the report's flat shape."""
-    worst = min(cert.per_direction, key=lambda c: c.witness_value)
-    wp = cert.witness_direction
-    return {
-        "verdict": cert.verdict,
-        "witness_point": None if wp is None else [float(v) for v in wp],
-        "witness_value": float(worst.witness_value),
-        "tolerance": float(worst.tolerance),
-    }
-
-
 # ----------------------------------------------------------------------------
 # Scenario pipelines: each returns (exit_code, certificates, norms, margins,
 # residuals, notes) and may write CSVs into out_dir
@@ -176,7 +164,7 @@ def _run_rn_compare(cfg, out, scale):
                                   chain_tol=cfg.tol("chain_tol", 1e-6, scale))
     rep.sinograms[0].to_csv(str(out / "sinogram_phi.csv"))
     rep.sinograms[1].to_csv(str(out / "sinogram_psi.csv"))
-    certs = [_summary_certificate(rep.certificate)] if rep.certificate else []
+    certs = [rep.certificate.to_json_dict()] if rep.certificate else []
     if rep.hypothesis_holds is False:
         code = EXIT_HYPOTHESIS
     else:
@@ -196,7 +184,7 @@ def _run_rn_counterexample(cfg, out, scale):
         gap_tol=cfg.tol("gap_tol", 1e-8, scale))
     rep.sinograms[0].to_csv(str(out / "sinogram_phi.csv"))
     rep.sinograms[1].to_csv(str(out / "sinogram_psi.csv"))
-    certs = [_summary_certificate(rep.certificate)] if rep.certificate else []
+    certs = [rep.certificate.to_json_dict()] if rep.certificate else []
     return (EXIT_OK, certs,
             {"lp_phi": rep.lp_phi, "lp_psi": rep.lp_psi},
             {"domination": rep.domination_margin,
@@ -236,7 +224,7 @@ def _run_certify_intersection(cfg, out, scale):
     omega, mhat = worst.transform_data
     write_transform_csv(out / "transform_worst_direction.csv", omega, mhat)
     code = EXIT_OK if cert.is_intersection_function else EXIT_HYPOTHESIS
-    return (code, [_summary_certificate(cert)],
+    return (code, [cert.to_json_dict()],
             {},
             {"positivity": float(worst.witness_value)},
             {}, f"verdict {cert.verdict}")

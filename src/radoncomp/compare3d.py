@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     ConstructionFailed,
@@ -82,22 +81,8 @@ class RnComparisonReport:
     hypothesis_holds: bool | None          # None when no certificate is needed
     chain: dict = field(default_factory=dict)
     notes: str = ""
-    # (R phi, R psi) on the default offset grid; not part of the JSON report
+    # (R phi, R psi) on the default offset grid, for the CLI's sinogram CSVs
     sinograms: tuple[Sinogram, Sinogram] | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "domination_margin": self.domination_margin,
-            "certificate": None if self.certificate is None
-            else self.certificate.to_json_dict(),
-            "lp_phi": self.lp_phi,
-            "lp_psi": self.lp_psi,
-            "conclusion_holds": self.conclusion_holds,
-            "hypothesis_holds": self.hypothesis_holds,
-            "chain": {k: float(v) for k, v in self.chain.items()},
-            "notes": self.notes,
-        }
 
 
 # ----------------------------------------------------------------------------
@@ -165,6 +150,8 @@ def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction,
 def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
                         weights: np.ndarray) -> float:
     """PAIRING_CONSTANT * int_{S^2} int_R Rf(t, theta) mu_theta(t) dt dtheta."""
+    from scipy.interpolate import CubicSpline
+
     total = 0.0
     per_dir = cert.per_direction
     radial_case = len(per_dir) == 1

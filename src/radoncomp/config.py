@@ -62,7 +62,6 @@ class ScenarioConfig:
     catalog: str = ""
     lower_branch: bool = False
     tail_correction: bool = False
-    seed: int | None = None
     n_polar: int = 16
     n_azimuth: int = 32
     l_max: int = 8
@@ -107,8 +106,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
     cfg.catalog = sc.get("catalog", "").strip()
     cfg.lower_branch = sc.getboolean("lower_branch", False)
     cfg.tail_correction = sc.getboolean("tail_correction", False)
-    if sc.get("seed") is not None:
-        cfg.seed = sc.getint("seed")
     if "grid" in parser:
         g = parser["grid"]
         cfg.n_polar = g.getint("n_polar", cfg.n_polar)

@@ -80,19 +80,6 @@ class ComparisonReport:
     chain: dict = field(default_factory=dict)
     notes: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "domination_margin": self.domination_margin,
-            "certificate": self.pd_certificate.to_json_dict() if self.pd_certificate else None,
-            "lp_f": self.lp_f,
-            "lp_g": self.lp_g,
-            "conclusion_holds": self.conclusion_holds,
-            "hypothesis_holds": self.hypothesis_holds,
-            "chain": {k: float(v) for k, v in self.chain.items()},
-            "notes": self.notes,
-        }
-
 
 def _spectrum_of(f: SphericalFunction, l_max: int | None = None) -> HarmonicSpectrum:
     if f.spectrum is not None and (l_max is None or f.spectrum.l_max >= l_max):
@@ -331,18 +318,6 @@ class SlicingReport:
     @property
     def holds(self) -> bool:
         return self.margin >= -1e-9 * max(abs(self.rhs), 1.0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "extremal_direction": [float(v) for v in self.extremal_direction],
-            "extremal_value": self.extremal_value,
-            "hypothesis_holds": self.hypothesis_holds,
-            "lower_branch": self.lower_branch,
-        }
 
 
 def slicing_check(f: SphericalFunction, p: float,

@@ -31,6 +31,7 @@ from .errors import (
     InputInvalid,
 )
 from .multipliers import PDCertificate
+from .reports import write_table
 from .sphere import (
     HarmonicSpectrum,
     SphereGrid,
@@ -146,10 +147,6 @@ class RadialProfile:
     @property
     def dr(self) -> float:
         return self.r_max / (len(self.samples) - 1)
-
-    def tail_fraction(self) -> float:
-        peak = float(np.max(np.abs(self.samples)))
-        return abs(float(self.samples[-1])) / max(peak, 1e-300)
 
     def __call__(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -403,15 +400,11 @@ class Sinogram:
         return fourier_1d(self.values[d], self.dt)
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# t_max,{float(-self.t[0])!r}\n")
-            fh.write(f"# dt,{self.dt!r}\n")
-            fh.write(f"# n_t,{len(self.t)}\n")
-            fh.write("# columns: dir_x,dir_y,dir_z,values...\n")
-            for d in range(len(self.directions)):
-                row = ",".join(repr(float(v)) for v in self.directions[d])
-                vals = ",".join(repr(float(v)) for v in self.values[d])
-                fh.write(f"{row},{vals}\n")
+        write_table(path,
+                    f"# t_max,{float(-self.t[0])!r}\n# dt,{self.dt!r}\n"
+                    f"# n_t,{len(self.t)}\n"
+                    "# columns: dir_x,dir_y,dir_z,values...\n",
+                    np.hstack([self.directions, self.values]))
 
     @staticmethod
     def from_csv(path: str) -> "Sinogram":
@@ -717,11 +710,15 @@ class IntersectionCertificate:
         return self.verdict == "intersection-function"
 
     def to_json_dict(self) -> dict:
+        """The report's certificate shape: the witness direction, and the
+        value and tolerance of the direction whose transform reaches lowest."""
+        worst = min(self.per_direction, key=lambda c: c.witness_value)
+        wp = self.witness_direction
         return {
             "verdict": self.verdict,
-            "witness_direction": None if self.witness_direction is None
-            else [float(v) for v in self.witness_direction],
-            "per_direction": [c.to_json_dict() for c in self.per_direction],
+            "witness_point": None if wp is None else [float(v) for v in wp],
+            "witness_value": float(worst.witness_value),
+            "tolerance": float(worst.tolerance),
         }
 
 

@@ -87,20 +87,32 @@ def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
     return report
 
 
+def write_table(path: str | Path, header: str, table) -> None:
+    """Write ``header``, then one comma-separated line per row of ``table``
+    with every cell as ``repr(float)``.
+
+    Each distinct value is formatted once: values are told apart by bit
+    pattern, so -0.0 stays -0.0, and rows are joined one at a time, so no
+    string array of the whole table is ever built.
+    """
+    table = np.ascontiguousarray(table, dtype=float)
+    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
+    cells = [repr(v) for v in bits.view(float).tolist()]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for row in index.reshape(table.shape):
+            fh.write(",".join(map(cells.__getitem__, row.tolist())))
+            fh.write("\n")
+
+
 def write_sphere_csv(path: str | Path, f: SphericalFunction) -> None:
     """One row per grid node: x, y, z, quadrature weight, value."""
     grid = f.grid
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,z,weight,value\n")
-        for (x, y, z), w, v in zip(grid.nodes.tolist(), grid.weights.tolist(),
-                                   f.values.tolist()):
-            fh.write(f"{x!r},{y!r},{z!r},{w!r},{v!r}\n")
+    write_table(path, "x,y,z,weight,value\n",
+                np.column_stack([grid.nodes, grid.weights, f.values]))
 
 
 def write_transform_csv(path: str | Path, t: np.ndarray,
                         values: np.ndarray, label: str = "value") -> None:
     """1D transform samples: t, value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"t,{label}\n")
-        for ti, vi in zip(t, values):
-            fh.write(f"{float(ti)!r},{float(vi)!r}\n")
+    write_table(path, f"t,{label}\n", np.column_stack([t, values]))

@@ -284,10 +284,18 @@ class SphericalFunction:
 
 
 @lru_cache(maxsize=64)
-def _tables(grid: SphereGrid, l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Q_k^m on the polar nodes and cos / sin(m phi) on the azimuth nodes."""
+def _grid_tables(grid: SphereGrid, l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     m_phi = np.outer(np.arange(l_max + 1), grid.phi)
     return normalized_legendre_table(l_max, grid.x), np.cos(m_phi), np.sin(m_phi)
+
+
+def _tables(grid: SphereGrid, l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q_k^m on the polar nodes and cos / sin(m phi) on the azimuth nodes, for
+    k, m <= l_max: slices of one table per grid, cached at its bandwidth (or
+    at l_max, when that is higher)."""
+    q, cos, sin = _grid_tables(grid, max(l_max, grid.bandwidth))
+    n = l_max + 1
+    return q[:n, :n], cos[:n], sin[:n]
 
 
 def _as_values(f) -> tuple[SphereGrid, np.ndarray]:

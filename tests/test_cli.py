@@ -2,11 +2,15 @@
 codes, schema-valid reports, byte reproducibility, and input-error paths."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import radoncomp
 from radoncomp.cli import main
 from radoncomp.reports import report_schema
 
@@ -81,6 +85,28 @@ def test_csv_outputs_written(tmp_path):
           "--out", str(out)])
     assert (out / "sinogram_phi.csv").exists()
     assert (out / "sinogram_psi.csv").exists()
+
+
+def test_cli_import_leaves_scipy_interpolate_out():
+    # S^2 runs never interpolate, so the CLI does not pay for the import
+    src = str(Path(radoncomp.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, radoncomp.cli; print('scipy.interpolate' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
+def test_seed_key_is_echoed_not_read(tmp_path):
+    cfg = tmp_path / "seeded.ini"
+    cfg.write_text((CONFIG_DIR / "certify-pd.ini").read_text()
+                   .replace("q = 1", "q = 1\nseed = 7"))
+    out = tmp_path / "out"
+    assert main(["certify-pd", "--config", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["scenario"]["seed"] == "7"
 
 
 def test_emit_schema(capsys):

@@ -306,13 +306,3 @@ def test_counterexample_p1_not_applicable(grid16):
 def test_counterexample_rejects_bad_p(grid16):
     with pytest.raises(OutOfRange):
         construct_counterexample_radon(gaussian(grid16), -1.0)
-
-
-def test_report_json_round_trip(grid16):
-    import json
-
-    rep = verify_comparison_radon(gaussian(grid16), gaussian(grid16, amp=1.2),
-                                  1.0)
-    d = rep.to_json_dict()
-    assert json.loads(json.dumps(d)) == d
-    assert d["p"] == 1.0

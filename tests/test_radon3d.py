@@ -12,6 +12,7 @@ Closed-form oracles used throughout:
 
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -45,6 +46,7 @@ from radoncomp.radon3d import (
     separable_radial,
     symmetric_nodes,
 )
+from radoncomp.reports import validate_report
 from radoncomp.sphere import SphericalFunction, build_grid
 from scipy.special import erf, eval_legendre
 
@@ -297,10 +299,27 @@ def test_certify_gamma_family_threshold(grid16):
 
 
 def test_certify_json_shape(grid16):
-    cert = certify_intersection_function(gaussian(grid16))
-    d = cert.to_json_dict()
-    assert d["verdict"] == "not-intersection-function"
-    assert len(d["per_direction"]) == 1
+    bad = certify_intersection_function(gaussian(grid16))
+    good = certify_intersection_function(
+        catalog_entry("gamma-q(1.5)", grid16).f, rel_tol=1e-4)
+    d_bad, d_good = bad.to_json_dict(), good.to_json_dict()
+    for d in (d_bad, d_good):
+        assert set(d) == {"verdict", "witness_point", "witness_value",
+                          "tolerance"}
+    assert d_bad["verdict"] == "not-intersection-function"
+    assert len(d_bad["witness_point"]) == 3
+    assert d_bad["witness_value"] < -d_bad["tolerance"] < 0.0
+    assert d_good["witness_point"] is None
+    report = {"scenario": "certify-intersection", "inputs": {},
+              "certificates": [d_bad, d_good], "norms": {}, "margins": {},
+              "residuals": {}, "timing": {"wall_seconds": 0.0}}
+    validate_report(report)
+    # the nested per-direction shape is not a report certificate
+    report["certificates"] = [{"verdict": bad.verdict,
+                               "witness_direction": d_bad["witness_point"],
+                               "per_direction": [d_bad]}]
+    with pytest.raises(jsonschema.ValidationError):
+        validate_report(report)
 
 
 # ----------------------------------------------------------------------------

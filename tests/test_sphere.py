@@ -8,6 +8,7 @@ import pytest
 from scipy.special import eval_legendre, sph_harm_y
 
 from conftest import random_even_spectrum
+from radoncomp import sphere
 from radoncomp.errors import BandwidthExceeded, DegenerateInput, InvalidGrid
 from radoncomp.sphere import (
     FOUR_PI,
@@ -174,6 +175,18 @@ def test_analyze_rows_matches_analyze(grid16):
     for c in range(5):
         one = analyze(SphericalFunction(grid16, values[:, c]), 10).coeffs
         assert np.max(np.abs(rows[:, c] - one)) < 1e-14
+
+
+def test_one_legendre_table_per_grid(grid16):
+    # lower degree caps slice the grid's one cached table
+    sphere._grid_tables.cache_clear()
+    f = SphericalFunction(grid16, np.random.default_rng(3).standard_normal(
+        grid16.n_nodes))
+    analyze(f, 14)
+    analyze(f, 15)
+    assert sphere._grid_tables.cache_info().currsize == 1
+    assert np.array_equal(sphere._tables(grid16, 14)[0],
+                          normalized_legendre_table(14, grid16.x))
 
 
 def test_evaluate_spectrum_legendre_axis():
