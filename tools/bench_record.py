@@ -7,8 +7,9 @@ in that order, runs the checkout's own benchmark from its root::
 
     python3 radonbench/run.py --workload W --seed S --seconds 15 --trace 0
 
-and keeps the last line of its output (the JSON result) and its
-``provenance`` line.  The runs are appended to ``BENCH_<label>.json`` at the
+and keeps the last line of its output (the JSON result), its ``provenance``
+line and the metric lines above it, which alone carry ``fail_ratio`` and the
+sample counts.  The runs are appended to ``BENCH_<label>.json`` at the
 root of this repository, so invoking the tool on two checkouts in turn, one
 seed at a time, records alternating before/after pairs.  A run that exits
 non-zero is recorded with its exit code and the tail of its error output.
@@ -32,10 +33,10 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     record = {"workload": workload, "seed": seed, "exit_code": proc.returncode}
     lines = proc.stdout.splitlines()
-    for line in lines:
-        if line.startswith("provenance "):
-            record["provenance"] = json.loads(line[len("provenance "):])
-    if proc.returncode == 0 and lines:
+    if proc.returncode == 0 and len(lines) >= 2:
+        record["lines"] = [line for line in lines[:-2]
+                           if not line.startswith("#")]
+        record["provenance"] = json.loads(lines[-2].split(" ", 1)[1])
         record["result"] = json.loads(lines[-1])
     else:
         record["stderr_tail"] = proc.stderr[-2000:]
