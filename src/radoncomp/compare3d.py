@@ -285,8 +285,10 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
     beta(t) = e^{-(t - t0)^2/sigma^2} + e^{-(t + t0)^2/sigma^2}, so
     beta^(s) = 2 sigma sqrt(pi) cos(s t0) e^{-sigma^2 s^2 / 4}; per cap degree
     h_km(r) = (-1)^{k/2} c_km / (2 pi^2) * int beta^(s) j_k(rs) s^2 ds.
-    Lattice points with the same frequency grid share each degree's Bessel
-    table j_k(r s); only one (n_r x 4096) table is alive at a time.
+    Degree 0 is closed-form, h_0(r) = -beta'(r) / (2 pi r), so a radial cap
+    builds no Bessel table.  Each degree k >= 2 builds one table j_k(r s) per
+    frequency grid, contracted with all its lattice points in one matrix
+    product; only one (n_r x 4096) table is alive at a time.
     """
     from scipy.special import spherical_jn
 
@@ -295,21 +297,27 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
     for j in cap_spec.live_modes(even_only=True):
         angular.setdefault(int(cap_spec.degrees()[j]), []).append(synthesize(
             HarmonicSpectrum.mode(cap_spec.l_max, j, cap_spec.coeffs[j]), grid))
-    s_maxes = [max(20.0 / sigma, 4.0 * abs(t0), 40.0) for t0, sigma in lattice]
     radial = {}                                    # (lattice index, k) -> h_k
+    for i, (t0, sigma) in enumerate(lattice):
+        a, b, rr = r_vals[1:] - t0, r_vals[1:] + t0, r_vals[1:]
+        radial[i, 0] = np.r_[
+            2.0 * (1.0 - 2.0 * (t0 / sigma) ** 2) * math.exp(-(t0 / sigma) ** 2),
+            (a * np.exp(-(a / sigma) ** 2) + b * np.exp(-(b / sigma) ** 2)) / rr
+        ] / (math.pi * sigma ** 2)
+    s_maxes = [max(20.0 / sigma, 4.0 * abs(t0), 40.0) for t0, sigma in lattice]
     for s_max in dict.fromkeys(s_maxes):
         s = np.linspace(0.0, s_max, 4096)
         members = [i for i, v in enumerate(s_maxes) if v == s_max]
-        for k in angular:
+        t0, sigma = np.array([lattice[i] for i in members]).T
+        ds = 0.5 * (np.diff(s, prepend=0.0) + np.diff(s, append=s[-1]))
+        # beta^(s) s^2 ds / (2 pi^2) per member, with trapezoid weights ds
+        coeffs = (ds * s * s)[:, None] * sigma * np.cos(np.outer(s, t0)) \
+            * np.exp(-0.25 * np.outer(s, sigma) ** 2) / math.pi ** 1.5
+        for k in [k for k in angular if k > 0]:
             jk = spherical_jn(k, np.outer(r_vals, s))
-            sign = -1.0 if (k // 2) % 2 else 1.0
-            for i in members:
-                t0, sigma = lattice[i]
-                bhat = 2.0 * sigma * math.sqrt(math.pi) * np.cos(s * t0) \
-                    * np.exp(-0.25 * (sigma * s) ** 2)
-                integral = np.trapezoid(jk * (bhat * s * s)[None, :], s, axis=1)
-                radial[i, k] = sign * integral / (2.0 * math.pi ** 2)
+            cols = (-1.0 if (k // 2) % 2 else 1.0) * (jk @ coeffs)
             del jk                  # free it before the next table is built
+            radial.update(((i, k), cols[:, c]) for c, i in enumerate(members))
     out = []
     for i in range(len(lattice)):
         terms = []

@@ -88,6 +88,21 @@ def _check_expr(name: str, src: str, context: str) -> ExprAst:
     return ast
 
 
+# typed keys per section, each read as the type of its ScenarioConfig field
+_TYPED_KEYS = {"scenario": ("p", "q", "lower_branch", "tail_correction"),
+               "grid": ("n_polar", "n_azimuth", "l_max", "t_max", "n_t", "r_max")}
+
+
+def _typed(section: configparser.SectionProxy, key: str, like):
+    """section[key] as the type of `like`, or InputInvalid naming the key."""
+    kind = type(like)
+    try:
+        return section.getboolean(key) if kind is bool else kind(section[key])
+    except ValueError:
+        raise InputInvalid(f"[{section.name}] {key} = {section[key]!r} is not "
+                           f"a valid {kind.__name__}") from None
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(str(path))
@@ -101,23 +116,16 @@ def load_config(path: str | Path) -> ScenarioConfig:
         raise InputInvalid(
             f"unknown scenario kind {kind!r}; known: {', '.join(SCENARIO_KINDS)}")
     cfg = ScenarioConfig(kind=kind)
-    cfg.p = sc.getfloat("p", cfg.p)
-    cfg.q = sc.getfloat("q", cfg.q)
     cfg.catalog = sc.get("catalog", "").strip()
-    cfg.lower_branch = sc.getboolean("lower_branch", False)
-    cfg.tail_correction = sc.getboolean("tail_correction", False)
-    if "grid" in parser:
-        g = parser["grid"]
-        cfg.n_polar = g.getint("n_polar", cfg.n_polar)
-        cfg.n_azimuth = g.getint("n_azimuth", cfg.n_azimuth)
-        cfg.l_max = g.getint("l_max", cfg.l_max)
-        cfg.t_max = g.getfloat("t_max", cfg.t_max)
-        cfg.n_t = g.getint("n_t", cfg.n_t)
-        cfg.r_max = g.getfloat("r_max", cfg.r_max)
+    for name, keys in _TYPED_KEYS.items():
+        for key in keys:
+            if name in parser and key in parser[name]:
+                setattr(cfg, key, _typed(parser[name], key, getattr(cfg, key)))
     if "functions" in parser:
         cfg.expressions = dict(parser["functions"])
     if "tolerances" in parser:
-        cfg.tolerances = {k: float(v) for k, v in parser["tolerances"].items()}
+        cfg.tolerances = {k: _typed(parser["tolerances"], k, 1.0)
+                          for k in parser["tolerances"]}
     if "output" in parser:
         cfg.output_dir = parser["output"].get("dir", cfg.output_dir)
     cfg.raw = {s: dict(parser[s]) for s in parser.sections()}

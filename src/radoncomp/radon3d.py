@@ -467,27 +467,36 @@ def _degree_plane_integral(profile: RadialProfile, k: int,
     The angular average of a degree-k harmonic over the circle of directions
     at polar distance gamma from theta is P_k(cos gamma) times its value at
     theta; on the plane <x, theta> = t one has cos gamma = t / |x|.
-    """
-    from scipy.integrate import simpson
 
-    s = profile.r
-    out = np.zeros(len(t_abs))
+    Per offset: scipy's simpson over the nodes s >= |t|, plus the trapezoid
+    cell [|t|, first node]; applied as weight rows to blocks of 64 offsets.
+    """
+    s, n = profile.r, len(profile.samples)
     su = s * profile.samples
-    for i, ta in enumerate(t_abs):
-        mask = s >= ta
-        if not np.any(mask) or ta >= s[-1]:
-            continue
-        ss = s[mask]
-        ratio = np.divide(ta, ss, out=np.ones_like(ss), where=ss > 0)
-        vals = su[mask] * eval_legendre(k, ratio)
-        if len(ss) > 2:
-            out[i] = simpson(vals, x=ss)
-        elif len(ss) == 2:
-            out[i] = 0.5 * (vals[0] + vals[1]) * (ss[1] - ss[0])
-        # partial cell between |t| and the first grid node (P_k(1) = 1 there)
-        if ss[0] > ta:
-            su_at_t = np.interp(ta, s, su)
-            out[i] += 0.5 * (su_at_t + vals[0]) * (ss[0] - ta)
+    first = np.searchsorted(s, t_abs)              # first node with s >= |t|
+    # simpson's weights in units of h/3, aligned to the last node, for an odd
+    # node count and an even one (with the last-interval h/12 (-1, 8, 5))
+    odd = np.r_[np.where((n - 1 - np.arange(n - 1)) % 2, 4.0, 2.0), 1.0]
+    even = np.r_[odd[1:], 0.0]
+    even[-3:] += np.array([-0.25, 2.0, 1.25])[-n:]
+    out = np.zeros(len(t_abs))
+    for lo in range(0, len(t_abs), 64):
+        ta, j0 = t_abs[lo:lo + 64, None], first[lo:lo + 64, None]
+        c0 = min(int(j0.min()), n - 1)             # leftmost column in use
+        J, ss = np.arange(c0, n), s[c0:]
+        x = np.divide(ta, ss, out=np.ones((len(ta), n - c0)), where=ss > 0)
+        x[J < j0] = 0.0                            # left of the suffix
+        p = eval_legendre(k, x)
+        cnt = n - j0[:, 0]                         # nodes in each suffix
+        w = np.where((cnt % 2 == 1)[:, None], odd[c0:], even[c0:])
+        w = np.where(J > j0, w, J == j0)
+        w[cnt == 2, -2:] = 1.5                     # two nodes: the trapezoid
+        w[cnt < 2] = 0.0
+        # partial cell between |t| and the first node (P_k(1) = 1 at |t|)
+        ta, j0 = ta[:, 0], np.minimum(j0[:, 0], n - 1)
+        cell = np.interp(ta, s, su) + su[j0] * p[np.arange(len(ta)), j0 - c0]
+        out[lo:lo + 64] = (w * p) @ su[c0:] * (profile.dr / 3.0) \
+            + 0.5 * cell * np.maximum(s[j0] - ta, 0.0)
     return TWO_PI * out
 
 

@@ -138,6 +138,27 @@ def test_bad_expression_is_input_error(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("section, line", [
+    ("grid", "n_polar = abc"),
+    ("scenario", "p = x"),
+    ("scenario", "tail_correction = maybe"),
+    ("tolerances", "rel_tol = tiny"),
+])
+def test_malformed_number_is_input_error(tmp_path, capsys, section, line):
+    sections = {"scenario": ["kind = certify-pd", "q = 1"],
+                "functions": ["f = 1 + z^2"], "output": ["dir = out"]}
+    sections.setdefault(section, []).append(line)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{e}\n" for e in body)
+                           for name, body in sections.items()))
+    assert main(["certify-pd", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    key = line.split(" =")[0]
+    assert err.startswith("error: ") and f"[{section}] {key}" in err
+    assert "Traceback" not in err
+
+
 def test_non_finite_samples_are_input_error(tmp_path):
     # (r - 1)^0.5 is NaN inside the unit ball
     cfg = tmp_path / "nan.ini"

@@ -15,6 +15,8 @@ import pytest
 import scipy.special
 
 from radoncomp.compare3d import (
+    _angular_cap_spectrum,
+    _bump_profiles,
     construct_counterexample_radon,
     lp_norm_rn,
     sinogram_dominates,
@@ -37,7 +39,7 @@ from radoncomp.radon3d import (
     separable_radial,
     symmetric_nodes,
 )
-from radoncomp.sphere import gauss_legendre
+from radoncomp.sphere import HarmonicSpectrum, gauss_legendre
 
 
 def gaussian(grid=None, width=1.0, amp=1.0):
@@ -266,30 +268,93 @@ def test_counterexample_gaussian_p2(grid16):
     assert rep.chain["bump_center"] > 1.0 / math.sqrt(2.0)
 
 
-def test_bump_search_shares_bessel_tables(grid16, monkeypatch):
-    # the 3 x 3 (t0, sigma) lattice has three distinct frequency grids, one
-    # per sigma, so the radial cap needs three 1024 x 4096 tables, each
-    # freed before the next is built
+def _record_bessel_tables(monkeypatch):
+    """Shapes of the spherical_jn tables built through scipy.special, and
+    how many earlier ones were still alive as each was built."""
     real = scipy.special.spherical_jn
-    tables = []
-    live_before = []
+    tables, shapes, live_before = [], [], []
 
     def counting(k, x, *args, **kwargs):
         out = real(k, x, *args, **kwargs)
-        if out.shape == (1024, 4096):
-            live_before.append(sum(ref() is not None for ref in tables))
-            tables.append(weakref.ref(out))
+        live_before.append(sum(ref() is not None for ref in tables))
+        tables.append(weakref.ref(out))
+        shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(scipy.special, "spherical_jn", counting)
+    return shapes, live_before
+
+
+def _power6_cap(grid):
+    nu = np.array([0.3, -0.4, math.sqrt(0.75)])
+    return _angular_cap_spectrum(nu, grid, power=6)
+
+
+def test_bump_search_shares_bessel_tables(grid16, monkeypatch):
+    # the radial cap has only degree 0, which is the closed form
+    # -beta'(r) / (2 pi r): the 3 x 3 lattice search builds no Bessel table
+    shapes, live_before = _record_bessel_tables(monkeypatch)
     psi = gaussian(grid16)
     phi, rep = construct_counterexample_radon(psi, 2.0)
-    assert len(tables) == 3
-    assert live_before == [0, 0, 0]
+    assert shapes == []
     assert phi.min_on_sample_grid(512) >= -1e-9
     assert sinogram_dominates(radon_transform(phi),
                               radon_transform(psi)) >= -1e-9 * math.pi
     assert lp_norm_rn(phi, 2.0) > lp_norm_rn(psi, 2.0)
+    # a power-6 cap has degrees 0..12; with two distinct frequency grids
+    # (s_max 50 and 80) that is one table per grid and degree k >= 2, each
+    # freed before the next is built
+    _bump_profiles([(1.1, 0.4), (0.9, 0.4), (1.1, 0.25)], _power6_cap(grid16),
+                   grid16, n_r=128)
+    assert shapes == [(128, 4096)] * 12
+    assert live_before == [0] * 12
+
+
+def _trapezoid_bump_reference(lattice, cap_spec, n_r):
+    """Per lattice point and cap degree, the trapezoid sum of
+    beta^(s) j_k(rs) s^2 over each point's own frequency grid."""
+    r_vals = np.linspace(0.0, 16.0, n_r)
+    degrees = {int(cap_spec.degrees()[j])
+               for j in cap_spec.live_modes(even_only=True)}
+    out = []
+    for t0, sigma in lattice:
+        s = np.linspace(0.0, max(20.0 / sigma, 4.0 * abs(t0), 40.0), 4096)
+        bhat = 2.0 * sigma * math.sqrt(math.pi) * np.cos(s * t0) \
+            * np.exp(-0.25 * (sigma * s) ** 2)
+        out.append({k: (-1.0) ** (k // 2) * np.trapezoid(
+            scipy.special.spherical_jn(k, np.outer(r_vals, s))
+            * (bhat * s * s)[None, :], s, axis=1) / (2.0 * math.pi ** 2)
+            for k in degrees})
+    return out
+
+
+@pytest.mark.parametrize("lattice, cap", [
+    ([(t0, sigma) for t0 in (1.35, 1.15, 1.55) for sigma in (0.2, 0.13, 0.4)],
+     "radial"),
+    ([(0.0, 0.8), (0.5, 1.5), (2.0, 0.7)], "radial"),
+    ([(12.0, 0.3), (3.0, 0.05)], "radial"),
+    ([(1.1, 0.4), (0.9, 0.4), (1.1, 0.25)], "power-6"),
+])
+def test_bump_profiles_match_trapezoid_reference(grid16, lattice, cap):
+    spec = HarmonicSpectrum(0, np.array([math.sqrt(4.0 * math.pi)])) \
+        if cap == "radial" else _power6_cap(grid16)
+    ref = _trapezoid_bump_reference(lattice, spec, 128)
+    for h, want in zip(_bump_profiles(lattice, spec, grid16, n_r=128), ref):
+        assert len(h.terms) == len(spec.live_modes(even_only=True))
+        for prof, ang in h.terms:
+            k = int(ang.spectrum.live_degrees()[-1])
+            assert np.max(np.abs(prof.samples - want[k])) \
+                <= 1e-13 * np.max(np.abs(want[k]))
+
+
+def test_wide_bump_transform_is_beta(grid16):
+    t0, sigma = 0.9, 0.8
+    spec = HarmonicSpectrum(0, np.array([math.sqrt(4.0 * math.pi)]))
+    (h,) = _bump_profiles([(t0, sigma)], spec, grid16)
+    t = symmetric_nodes()
+    beta = np.exp(-((t - t0) / sigma) ** 2) + np.exp(-((t + t0) / sigma) ** 2)
+    assert np.max(np.abs(radon_transform(h).values - beta[None, :])) \
+        <= 1e-6 * np.max(beta)
 
 
 def test_counterexample_not_applicable_when_certified(grid16):

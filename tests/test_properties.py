@@ -1,6 +1,7 @@
 """Randomized invariants checked with hypothesis: spectral round trips,
 multiplier duality, expression round trips, and transform symmetries."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,12 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_even_spectrum
 from radoncomp.exprlang import parse_expr, pretty_print
 from radoncomp.multipliers import multiplier
-from radoncomp.radon3d import radon_transform, separable_radial
+from radoncomp.radon3d import (
+    SeparableFunction,
+    radial_profile,
+    radon_transform,
+    separable_radial,
+)
 from radoncomp.sphere import (
     HarmonicSpectrum,
     SphericalFunction,
@@ -152,3 +158,33 @@ def test_spherical_transform_parity(seed, l_max):
     assert rf.antipodal_residual() < 1e-10
     assert np.max(np.abs(rf.values - reven.values)) \
         < 1e-10 * max(1.0, float(np.max(np.abs(rf.values))))
+
+
+def _p2_axis_sinogram(nu):
+    """R f for f = e^{-r^2} P_2(<x/|x|, nu>), and P_2(<xi, nu>) at its
+    directions xi."""
+    def p2(c):
+        return 1.5 * c * c - 0.5
+
+    ang = SphericalFunction(GRID, p2(GRID.nodes @ nu), parity="even")
+    f = SeparableFunction([(radial_profile(lambda r: np.exp(-r * r)), ang)])
+    sino = radon_transform(f)
+    return sino.values, p2(sino.directions @ nu)
+
+
+@functools.lru_cache(maxsize=1)
+def _p2_polar_profile():
+    values, a = _p2_axis_sinogram(np.array([0.0, 0.0, 1.0]))
+    return (a @ values) / (a @ a)
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1))
+@settings(**SETTINGS)
+def test_radon_rotation_equivariance(seed):
+    """Rotating the axis of f = u(r) P_2(<theta, nu>) rotates its sinogram:
+    every row is P_2(<xi, nu>) g(t), with one g for every axis nu."""
+    nu = np.random.default_rng(seed).standard_normal(3)
+    values, a = _p2_axis_sinogram(nu / np.linalg.norm(nu))
+    g = _p2_polar_profile()
+    scale = float(np.max(np.abs(g)))
+    assert np.max(np.abs(values - np.outer(a, g))) < 1e-10 * scale

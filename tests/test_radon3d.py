@@ -28,6 +28,7 @@ from radoncomp.radon3d import (
     RadialProfile,
     SeparableFunction,
     Sinogram,
+    _degree_plane_integral,
     catalog_entry,
     certify_intersection_function,
     classification_witness,
@@ -192,6 +193,53 @@ def test_radon_nonradial_vs_direct(grid16):
             direct = radon_direct_point(f, float(t), theta)
             assert math.isclose(sino.values[0, j], direct,
                                 rel_tol=1e-6, abs_tol=1e-9), (theta, t)
+
+
+def _simpson_plane_integral(profile, k, t_abs):
+    """Per offset: scipy's simpson over the nodes s >= |t| of
+    u(s) s P_k(t/s), plus the trapezoid cell [|t|, first node]."""
+    from scipy.integrate import simpson
+
+    s = profile.r
+    su = s * profile.samples
+    out = np.zeros(len(t_abs))
+    for i, ta in enumerate(t_abs):
+        ss = s[s >= ta]
+        if ta >= s[-1]:
+            continue
+        vals = su[s >= ta] * eval_legendre(
+            k, np.divide(ta, ss, out=np.ones_like(ss), where=ss > 0))
+        if len(ss) > 2:
+            out[i] = simpson(vals, x=ss)
+        elif len(ss) == 2:
+            out[i] = 0.5 * (vals[0] + vals[1]) * (ss[1] - ss[0])
+        if ss[0] > ta:
+            out[i] += 0.5 * (np.interp(ta, s, su) + vals[0]) * (ss[0] - ta)
+    return 2.0 * math.pi * out
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 12, 30, 60])
+def test_degree_plane_integral_matches_per_offset_simpson(k):
+    prof = radial_profile(lambda r: r * r * np.exp(-r * r))
+    dr = prof.dr
+    # |t| = 0, nodes, points between nodes, the last cells (odd and even
+    # suffix lengths down to one node), and |t| >= R
+    t_abs = np.concatenate([
+        [0.0], np.arange(1, 300, 7) * dr, (np.arange(1, 300, 11) + 0.37) * dr,
+        16.0 - np.array([3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5]) * dr,
+        [16.0, 16.5]])
+    got = _degree_plane_integral(prof, k, t_abs)
+    want = _simpson_plane_integral(prof, k, t_abs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_degree_plane_integral_short_profiles(n):
+    prof = radial_profile(lambda r: np.exp(-r * r), r_max=2.0, n=n)
+    t_abs = np.array([0.0, 0.3, 0.5, 1.0, 1.7, 2.0, 3.0])
+    want = _simpson_plane_integral(prof, 2, t_abs)
+    assert np.max(np.abs(_degree_plane_integral(prof, 2, t_abs) - want)) \
+        <= 1e-13 * np.max(np.abs(want))
 
 
 def test_radon_rejects_algebraic_decay(grid16):
