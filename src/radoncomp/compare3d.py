@@ -43,20 +43,20 @@ from .radon3d import (
     DEFAULT_T_MAX,
     IntersectionCertificate,
     RadialProfile,
+    RowBlock,
     SeparableFunction,
     Sinogram,
     certify_intersection_function,
     hemisphere_indices,
     radon_transform,
     separable_power,
-    symmetric_nodes,
 )
 from .sphere import (
     HarmonicSpectrum,
     SphericalFunction,
     analyze,
+    degree_values_rows,
     radial_gauss_legendre,
-    synthesize,
 )
 
 __all__ = [
@@ -100,7 +100,7 @@ def lp_norm_rn(phi: SeparableFunction, p: float,
     if p <= 0.0:
         raise OutOfRange(f"p must be positive, got {p}")
     phi.require_finite("phi")
-    r_max = phi.terms[0][0].r_max
+    r_max = phi.r_max
     rg, wg = radial_gauss_legendre(r_max, n_radial)
     grid = phi.grid
     vals = np.abs(phi.values_polar(rg)) ** p
@@ -136,15 +136,10 @@ def sinogram_dominates(a: Sinogram, b: Sinogram) -> float:
 # The verifier
 # ----------------------------------------------------------------------------
 
-def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction,
-                   t: np.ndarray | None = None):
+def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction):
     if phi.grid is not psi.grid and phi.grid.n_nodes != psi.grid.n_nodes:
         raise GridMismatch("phi and psi live on different sphere grids")
-    if t is None:
-        t = symmetric_nodes()
-    r_phi = radon_transform(phi, t=t)
-    r_psi = radon_transform(psi, t=t)
-    return r_phi, r_psi
+    return radon_transform(phi), radon_transform(psi)
 
 
 def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
@@ -154,10 +149,8 @@ def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
 
     total = 0.0
     per_dir = cert.per_direction
-    radial_case = len(per_dir) == 1
     for d in range(len(sino.directions)):
-        c = per_dir[0] if radial_case else per_dir[d]
-        omega, mhat = c.transform_data
+        omega, mhat = per_dir[d if len(per_dir) > 1 else 0].transform_data
         spline = CubicSpline(sino.t, sino.values[d])
         inside = (omega >= sino.t[0]) & (omega <= sino.t[-1])
         vals = np.zeros_like(omega)
@@ -280,25 +273,28 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
                    r_max: float = DEFAULT_T_MAX,
                    n_r: int = 1024) -> list[SeparableFunction]:
     """h with R h(t, theta) = beta(t) * cap(theta) exactly (Fourier slice),
-    one per (t0, sigma) of the lattice, in lattice order.
+    one per (t0, sigma) of the lattice, in lattice order, sampled on
+    [0, r_max] (psi's, in the counterexample: psi - eta h has one r_max).
 
     beta(t) = e^{-(t - t0)^2/sigma^2} + e^{-(t + t0)^2/sigma^2}, so
-    beta^(s) = 2 sigma sqrt(pi) cos(s t0) e^{-sigma^2 s^2 / 4}; per cap degree
-    h_km(r) = (-1)^{k/2} c_km / (2 pi^2) * int beta^(s) j_k(rs) s^2 ds.
-    Degree 0 is closed-form, h_0(r) = -beta'(r) / (2 pi r), so a radial cap
-    builds no Bessel table.  Each degree k >= 2 builds one table j_k(r s) per
-    frequency grid, contracted with all its lattice points in one matrix
-    product; only one (n_r x 4096) table is alive at a time.
+    beta^(s) = 2 sigma sqrt(pi) cos(s t0) e^{-sigma^2 s^2 / 4}.  Every mode of
+    cap degree k shares h_k(r) = (-1)^{k/2} / (2 pi^2) int beta^(s) j_k(rs)
+    s^2 ds, so each h is one block with one row per cap degree: radial row
+    h_k, angular row the cap's degree-k part.  h_0 = -beta'(r) / (2 pi r) is
+    closed-form, so a radial cap builds no Bessel table; each degree k >= 2
+    builds one table j_k(r s) per frequency grid, contracted with all its
+    lattice points in one matrix product, one (n_r x 4096) table at a time.
     """
     from scipy.special import spherical_jn
 
     r_vals = np.linspace(0.0, r_max, n_r)
-    angular = {}                                   # degree -> cap modes
-    for j in cap_spec.live_modes(even_only=True):
-        angular.setdefault(int(cap_spec.degrees()[j]), []).append(synthesize(
-            HarmonicSpectrum.mode(cap_spec.l_max, j, cap_spec.coeffs[j]), grid))
-    radial = {}                                    # (lattice index, k) -> h_k
-    for i, (t0, sigma) in enumerate(lattice):
+    live, deg = cap_spec.live_modes(even_only=True), cap_spec.degrees()
+    degrees = cap_spec.live_degrees(even_only=True)
+    parts = np.zeros((len(deg), len(degrees)))           # (mode, cap degree)
+    parts[live, np.searchsorted(degrees, deg[live])] = cap_spec.coeffs[live]
+    angular = degree_values_rows(parts, grid.nodes).sum(axis=0)
+    radial = np.empty((len(lattice), len(degrees), n_r))  # (point, k, r)
+    for i, (t0, sigma) in enumerate(lattice if degrees[0] == 0 else ()):
         a, b, rr = r_vals[1:] - t0, r_vals[1:] + t0, r_vals[1:]
         radial[i, 0] = np.r_[
             2.0 * (1.0 - 2.0 * (t0 / sigma) ** 2) * math.exp(-(t0 / sigma) ** 2),
@@ -313,19 +309,14 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
         # beta^(s) s^2 ds / (2 pi^2) per member, with trapezoid weights ds
         coeffs = (ds * s * s)[:, None] * sigma * np.cos(np.outer(s, t0)) \
             * np.exp(-0.25 * np.outer(s, sigma) ** 2) / math.pi ** 1.5
-        for k in [k for k in angular if k > 0]:
+        for row, k in [(row, k) for row, k in enumerate(degrees) if k > 0]:
             jk = spherical_jn(k, np.outer(r_vals, s))
-            cols = (-1.0 if (k // 2) % 2 else 1.0) * (jk @ coeffs)
+            radial[members, row] = (-1.0 if (k // 2) % 2 else 1.0) \
+                * (jk @ coeffs).T
             del jk                  # free it before the next table is built
-            radial.update(((i, k), cols[:, c]) for c, i in enumerate(members))
-    out = []
-    for i in range(len(lattice)):
-        terms = []
-        for k in angular:
-            prof = RadialProfile(radial[i, k], r_max, "schwartz")
-            terms.extend((prof, ang) for ang in angular[k])
-        out.append(SeparableFunction(terms))
-    return out
+    return [SeparableFunction([RowBlock(RadialProfile(u, r_max, "schwartz"),
+                                        angular, parts, grid)])
+            for u in radial]
 
 
 def _angular_cap_spectrum(nu: np.ndarray, grid, power: int):
@@ -338,13 +329,12 @@ def _angular_cap_spectrum(nu: np.ndarray, grid, power: int):
 
 def _combine(psi: SeparableFunction, h: SeparableFunction,
              coeff: float) -> SeparableFunction:
-    return SeparableFunction(list(psi.terms) + [(prof.scaled(coeff), ang)
-                                                for prof, ang in h.terms])
+    return SeparableFunction(psi.blocks + h.scaled(coeff).blocks)
 
 
 def _integral_against(w_fn: SeparableFunction, h: SeparableFunction,
                       n_radial: int = 300) -> float:
-    r_max = min(w_fn.terms[0][0].r_max, h.terms[0][0].r_max)
+    r_max = min(w_fn.r_max, h.r_max)
     rg, wg = radial_gauss_legendre(r_max, n_radial)
     grid = w_fn.grid
     vals = w_fn.values_polar(rg) * h.values_polar(rg)
@@ -358,14 +348,9 @@ def _negative_window(omega: np.ndarray, mhat: np.ndarray,
     fast-decaying transforms, which would make the bump heavier-tailed than
     any Schwartz data; the half-depth width localizes it)."""
     i_w = int(np.argmin(np.abs(omega - witness)))
-    depth = mhat[i_w]
-    deep = mhat < 0.5 * depth
-    lo = i_w
-    while lo > 0 and deep[lo - 1]:
-        lo -= 1
-    hi = i_w
-    while hi < len(omega) - 1 and deep[hi + 1]:
-        hi += 1
+    shallow = np.flatnonzero(~(mhat < 0.5 * mhat[i_w]))
+    lo = max(shallow[shallow < i_w], default=-1) + 1
+    hi = min(shallow[shallow > i_w], default=len(omega)) - 1
     half = max(0.5 * (omega[hi] - omega[lo]), omega[1] - omega[0])
     return abs(float(witness)), float(half)
 
@@ -419,7 +404,8 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
     lattice = [(t0, sigma) for t0 in (t_star, 0.85 * t_star, 1.15 * t_star)
                for sigma in (half / 2.0, half / 3.0, half)]
     best = None
-    for (t0, sigma), h in zip(lattice, _bump_profiles(lattice, cap_spec, grid)):
+    for (t0, sigma), h in zip(lattice, _bump_profiles(lattice, cap_spec, grid,
+                                                      psi.r_max)):
         ip = _integral_against(w_fn, h)
         if best is None or ip < best[0]:
             best = (ip, h, t0, sigma)
@@ -433,7 +419,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
 
     # eta: keep phi >= 0, then insist on a strict norm gap
     n_chk = 512
-    r_chk = np.linspace(0.0, psi.terms[0][0].r_max, n_chk)
+    r_chk = np.linspace(0.0, psi.r_max, n_chk)
     psi_vals = psi.values_polar(r_chk)
     h_vals = h.values_polar(r_chk)
     pos = h_vals > 1e-12 * np.max(np.abs(h_vals))

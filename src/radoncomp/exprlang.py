@@ -272,14 +272,8 @@ def pretty_print(ast: ExprAst) -> str:
 def _catalog_radial(name: str):
     from .radon3d import catalog_entry
 
-    entry = catalog_entry(name)
-    profile, ang = entry.f.terms[0]
-    a = float(ang.values[0])
-
-    def ev(r):
-        return profile(np.abs(np.asarray(r, dtype=float))) * a
-
-    return ev
+    f = catalog_entry(name).f
+    return lambda r: f.values_polar(np.abs(np.ravel(r)))[:, 0].reshape(np.shape(r))
 
 
 _CATALOG_UNDERSCORE = {"gauss_r2": "gauss-r2", "erf_type": "erf-type",

@@ -176,10 +176,12 @@ def _layout(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _to_blocks(coeffs: np.ndarray, l_max: int) -> np.ndarray:
     """Blocks z[k, m] = s_m (a_{k,m} - i a_{k,-m}) of a flat spectrum, so that
-    sum_j a_j Y_j = Re sum_{k,m} z[k, m] Q_k^m e^{i m phi}."""
+    sum_j a_j Y_j = Re sum_{k,m} z[k, m] Q_k^m e^{i m phi}; a column axis of
+    the flat coefficients ((l_max+1)^2, n) is kept as z[k, m, :]."""
     deg, order, phase = _layout(l_max)
-    z = np.zeros((l_max + 1, l_max + 1), dtype=complex)
-    np.add.at(z, (deg, order), phase * coeffs)
+    z = np.zeros((l_max + 1, l_max + 1) + np.shape(coeffs)[1:], dtype=complex)
+    np.add.at(z, (deg, order),
+              phase.reshape((-1,) + (1,) * (np.ndim(coeffs) - 1)) * coeffs)
     return z
 
 
@@ -341,14 +343,20 @@ def synthesize(spectrum: HarmonicSpectrum, grid: SphereGrid,
 
 
 def degree_values(spectrum: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
-    """Row k: sum_m a_{k,m} Y_{k,m} at unit vectors (n_pts, 3); memory
-    O(l_max * n_pts), the Legendre rows being built one degree at a time."""
+    """Row k: sum_m a_{k,m} Y_{k,m} at unit vectors (n_pts, 3)."""
+    return degree_values_rows(spectrum.coeffs, points)
+
+
+def degree_values_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``degree_values`` column by column: flat coefficients ((l_max+1)^2[, n])
+    to degree rows (l_max+1[, n], n_pts); the Legendre rows are built one
+    degree at a time."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    L = spectrum.l_max
+    L = math.isqrt(len(coeffs)) - 1
     m_phi = np.outer(np.arange(L + 1), np.arctan2(points[:, 1], points[:, 0]))
     cos, sin = np.cos(m_phi), np.sin(m_phi)
-    z = _to_blocks(spectrum.coeffs, L)
-    out = np.empty((L + 1, len(points)))
+    z = np.moveaxis(_to_blocks(coeffs, L), 1, -1)   # (k, [n,] |m|)
+    out = np.empty((L + 1,) + np.shape(coeffs)[1:] + (len(points),))
     for k, q in enumerate(_legendre_rows(L, np.clip(points[:, 2], -1.0, 1.0))):
         out[k] = z.real[k] @ (q * cos) - z.imag[k] @ (q * sin)
     return out

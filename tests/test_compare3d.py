@@ -32,14 +32,25 @@ from radoncomp.errors import (
     TailTooHeavy,
 )
 from radoncomp.radon3d import (
+    RadialProfile,
+    SeparableFunction,
     catalog_entry,
     certify_intersection_function,
+    fourier_along_rays,
+    hemisphere_indices,
     mollified_ball,
+    radial_profile,
     radon_transform,
+    separable_power,
     separable_radial,
     symmetric_nodes,
 )
-from radoncomp.sphere import HarmonicSpectrum, gauss_legendre
+from radoncomp.sphere import (
+    HarmonicSpectrum,
+    SphericalFunction,
+    gauss_legendre,
+    synthesize,
+)
 
 
 def gaussian(grid=None, width=1.0, amp=1.0):
@@ -153,7 +164,7 @@ def test_infinite_origin_admitted(grid16):
     # its own verdict on the ray profile r^2 f^(r) = 2 pi^2 r erf(r/2),
     # which grows to the grid edge
     f = catalog_entry("gauss-r2", grid16).f
-    assert np.isinf(f.terms[0][0].samples[0])
+    assert np.isinf(f.blocks[0].samples[0, 0])
     assert math.isclose(lp_norm_rn(f, 1.0), 2.0 * math.pi ** 1.5,
                         rel_tol=1e-10)
     with pytest.raises(GridTooCoarse):
@@ -285,6 +296,17 @@ def _record_bessel_tables(monkeypatch):
     return shapes, live_before
 
 
+def test_counterexample_keeps_psi_r_max(grid16):
+    # the bumps are sampled on psi's radial extent, so phi = psi - eta h is
+    # one function with one r_max
+    psi = separable_radial(lambda r: np.exp(-np.asarray(r, float) ** 2), grid16,
+                           r_max=8.0, n=1024)
+    phi, rep = construct_counterexample_radon(psi, 2.0)
+    assert phi.r_max == 8.0
+    assert phi.min_on_sample_grid(512) >= -1e-9
+    assert lp_norm_rn(phi, 2.0) > lp_norm_rn(psi, 2.0)
+
+
 def _power6_cap(grid):
     nu = np.array([0.3, -0.4, math.sqrt(0.75)])
     return _angular_cap_spectrum(nu, grid, power=6)
@@ -340,11 +362,53 @@ def test_bump_profiles_match_trapezoid_reference(grid16, lattice, cap):
         if cap == "radial" else _power6_cap(grid16)
     ref = _trapezoid_bump_reference(lattice, spec, 128)
     for h, want in zip(_bump_profiles(lattice, spec, grid16, n_r=128), ref):
-        assert len(h.terms) == len(spec.live_modes(even_only=True))
-        for prof, ang in h.terms:
-            k = int(ang.spectrum.live_degrees()[-1])
-            assert np.max(np.abs(prof.samples - want[k])) \
-                <= 1e-13 * np.max(np.abs(want[k]))
+        (block,) = h.blocks                        # one row per cap degree
+        assert len(block.samples) == len(want)
+        for u, c in zip(block.samples, block.coeffs.T):
+            k = math.isqrt(int(np.flatnonzero(c)[-1]))    # the row's degree
+            assert np.all(c[:k * k] == 0.0)
+            assert np.max(np.abs(u - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
+
+
+def _as_terms(fn):
+    """The rows of fn's one block as one-row input terms, each with its
+    angular factor synthesized on its own: the term-per-mode representation
+    the blocks replace, kept as the reference."""
+    (block,) = fn.blocks
+    l_max = math.isqrt(len(block.coeffs)) - 1
+    return SeparableFunction([
+        (RadialProfile(u, fn.r_max, block.profile.decay),
+         synthesize(HarmonicSpectrum(l_max, c.copy()), fn.grid))
+        for u, c in zip(block.samples, block.coeffs.T)])
+
+
+@pytest.mark.parametrize("kind", ["fitted", "bump"])
+def test_block_matches_one_term_per_row(grid16, kind):
+    if kind == "fitted":      # one row per live mode of degrees 0, 2 and 4
+        z = grid16.nodes @ np.array([0.3, -0.4, math.sqrt(0.75)])
+        fn = separable_power(SeparableFunction([
+            (radial_profile(lambda r: np.exp(-r * r)),
+             SphericalFunction(grid16, np.ones(grid16.n_nodes), parity="even")),
+            (radial_profile(lambda r: r * r * np.exp(-1.2 * r * r)),
+             SphericalFunction(grid16, 0.3 * (1.5 * z * z - 0.5),
+                               parity="even"))]), 2.0)
+    else:                     # one row per degree of a power-6 cap
+        (fn,) = _bump_profiles([(1.1, 0.4)], _power6_cap(grid16), grid16)
+    terms = _as_terms(fn)
+    assert len(terms.blocks) == len(fn.blocks[0].samples) > 4
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+    r = np.linspace(0.0, 6.0, 40)
+    pts = np.random.default_rng(3).standard_normal((40, 3))
+    t = symmetric_nodes(512, 8.0)
+    dirs = grid16.nodes[hemisphere_indices(grid16)]
+    assert close(fn.values_polar(r), terms.values_polar(r))
+    assert close(fn(pts), terms(pts))
+    assert close(radon_transform(fn, t=t).values,
+                 radon_transform(terms, t=t).values)
+    assert close(fourier_along_rays(fn, dirs, r), fourier_along_rays(terms, dirs, r))
 
 
 def test_wide_bump_transform_is_beta(grid16):

@@ -12,8 +12,11 @@ from radoncomp.exprlang import parse_expr, pretty_print
 from radoncomp.multipliers import multiplier
 from radoncomp.radon3d import (
     SeparableFunction,
+    fourier_1d,
+    fourier_along_rays,
     radial_profile,
     radon_transform,
+    separable_power,
     separable_radial,
 )
 from radoncomp.sphere import (
@@ -188,3 +191,40 @@ def test_radon_rotation_equivariance(seed):
     g = _p2_polar_profile()
     scale = float(np.max(np.abs(g)))
     assert np.max(np.abs(values - np.outer(a, g))) < 1e-10 * scale
+
+
+def _two_term(A, a, c, k, nu):
+    """A e^{-a r^2} + c r^2 e^{-k r^2} P_2(<x/|x|, nu>) as two one-row terms."""
+    one = SphericalFunction(GRID, np.ones(GRID.n_nodes), parity="even")
+    p2 = SphericalFunction(GRID, c * (1.5 * (GRID.nodes @ nu) ** 2 - 0.5),
+                           parity="even")
+    return SeparableFunction([
+        (radial_profile(lambda r: A * np.exp(-a * r * r)), one),
+        (radial_profile(lambda r: r * r * np.exp(-k * r * r)), p2)])
+
+
+def _slice_gap(f):
+    """Largest |1D transform of a sinogram row - f^ along its ray| over the
+    hemisphere directions and omega in [0, 8], and the largest |f^| there."""
+    sino = radon_transform(f)
+    omega = fourier_1d(sino.values[0], sino.dt)[0]
+    keep = (omega >= 0.0) & (omega <= 8.0)
+    rows = np.array([fourier_1d(row, sino.dt)[1][keep] for row in sino.values])
+    ray = fourier_along_rays(f, sino.directions, omega[keep])
+    return float(np.max(np.abs(rows - ray))), float(np.max(np.abs(ray)))
+
+
+@given(seed=st.integers(0, 2 ** 31 - 1))
+@settings(deadline=None, max_examples=10)
+def test_fourier_slice(seed):
+    """The 1D transform in t of R f(t, theta) is f^(omega theta), for input
+    terms (one row each) and for a fitted function (one block of many rows)."""
+    rng = np.random.default_rng(seed)
+    A, a = rng.uniform(0.5, 2.0), rng.uniform(0.8, 1.2)
+    k, c = 1.2 * a, A * a * rng.uniform(0.2, 0.6)
+    nu = rng.standard_normal(3)
+    f = _two_term(A, a, c, k, nu / np.linalg.norm(nu))
+    gap, scale = _slice_gap(f)
+    assert gap <= 1e-8 * scale
+    gap, scale = _slice_gap(separable_power(f, 2.0))
+    assert gap <= 1e-5 * scale

@@ -13,7 +13,8 @@ sample counts.  The runs are appended to ``BENCH_<label>.json`` at the
 root of this repository, so invoking the tool on two checkouts in turn, one
 seed at a time, records alternating before/after pairs.  A run that exits
 non-zero is recorded with its exit code and the tail of its error output.
-Standard library only.
+A checkout without ``BENCHMARK.json`` or ``radonbench/run.py`` is refused
+with exit code 2 before anything runs or is written.  Standard library only.
 """
 
 from __future__ import annotations
@@ -49,6 +50,12 @@ def main(argv: list[str]) -> int:
         return 2
     checkout = Path(argv[0]).resolve()
     label, seeds = argv[1], [int(s) for s in argv[2:]]
+    missing = [name for name in ("BENCHMARK.json", "radonbench/run.py")
+               if not (checkout / name).is_file()]
+    if missing:
+        print(f"{checkout} is not a benchmark checkout: no {' or '.join(missing)}",
+              file=sys.stderr)
+        return 2
     workloads = [w["name"] for w in json.loads(
         (checkout / "BENCHMARK.json").read_text())["workloads"]]
     path = ROOT / f"BENCH_{label}.json"

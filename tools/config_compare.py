@@ -16,7 +16,10 @@ Numbers that moved by more than 1e-13 are listed by location.  Anything else
 that differs (a verdict string, a key, a header cell, a missing file) prints
 as ``differs`` with its location.  ``config_digest.py`` shows
 byte identity; this shows how far a change that reorders floating-point sums
-moved each number.  Standard library only.
+moved each number.  The exit code is 1 when an exit code differs, an output
+file or config is missing on one side, a non-numeric leaf differs, or a
+number moved by more than 1e-13, and 0 otherwise, so the tool can gate a
+change.  Standard library only.
 """
 
 from __future__ import annotations
@@ -75,12 +78,13 @@ def _rel(a: float, b: float) -> float:
     return diff if math.isfinite(diff) else math.inf
 
 
-def compare(a_path: Path, b_path: Path) -> str:
+def compare(a_path: Path, b_path: Path) -> tuple[str, bool]:
     """One line: the largest relative difference and where, the numbers
-    that moved by more than ``NOTE``, and the first non-numeric difference."""
+    that moved by more than ``NOTE``, and the first non-numeric difference;
+    and whether there was any such move or difference."""
     a, b = _leaves(a_path), _leaves(b_path)
     if a.keys() != b.keys():
-        return f"differs: locations {sorted(a.keys() ^ b.keys())[:3]}"
+        return f"differs: locations {sorted(a.keys() ^ b.keys())[:3]}", True
     worst, where, moved, other = 0.0, "", [], None
     for key, va in a.items():
         vb = b[key]
@@ -95,7 +99,31 @@ def compare(a_path: Path, b_path: Path) -> str:
     line = f"max rel diff {worst:.3g}" + (f" at {where}" if where else "")
     if moved:
         line += f"; {len(moved)} above {NOTE:g}: {', '.join(moved[:4])}"
-    return line + (f"; differs at {other}" if other else "")
+    return line + (f"; differs at {other}" if other else ""), bool(moved or other)
+
+
+def compare_runs(runs: list[dict]) -> bool:
+    """Print the comparison of two runs of the configs, each a dict config
+    name -> (exit code, output directory); True when anything differs."""
+    failed = False
+    for config in sorted(runs[0].keys() | runs[1].keys()):
+        if config not in runs[0] or config not in runs[1]:
+            print(f"{config} only in {'this' if config in runs[1] else 'other'}")
+            failed = True
+            continue
+        (code_a, out_a), (code_b, out_b) = runs[0][config], runs[1][config]
+        print(f"{config} exit {code_a} / {code_b}")
+        failed |= code_a != code_b
+        for name in sorted({p.name for p in out_a.glob("*")}
+                           | {p.name for p in out_b.glob("*")}):
+            if not (out_a / name).exists() or not (out_b / name).exists():
+                print(f"  {name}: differs: missing on one side")
+                failed = True
+                continue
+            line, differs = compare(out_a / name, out_b / name)
+            print(f"  {name}: {line}")
+            failed |= differs
+    return failed
 
 
 def main(argv: list[str]) -> int:
@@ -110,19 +138,7 @@ def main(argv: list[str]) -> int:
             (Path(tmp) / name).mkdir()
             runs.append({c.name: (code, out) for c, code, out
                          in run_configs(root, Path(tmp) / name)})
-        for config in sorted(runs[0].keys() | runs[1].keys()):
-            if config not in runs[0] or config not in runs[1]:
-                print(f"{config} only in {'this' if config in runs[1] else 'other'}")
-                continue
-            (code_a, out_a), (code_b, out_b) = runs[0][config], runs[1][config]
-            print(f"{config} exit {code_a} / {code_b}")
-            for name in sorted({p.name for p in out_a.glob("*")}
-                               | {p.name for p in out_b.glob("*")}):
-                if not (out_a / name).exists() or not (out_b / name).exists():
-                    print(f"  {name}: differs: missing on one side")
-                    continue
-                print(f"  {name}: {compare(out_a / name, out_b / name)}")
-    return 0
+        return 1 if compare_runs(runs) else 0
 
 
 if __name__ == "__main__":
