@@ -50,6 +50,8 @@ from .radon3d import (
     hemisphere_indices,
     radon_transform,
     separable_power,
+    symmetric_nodes,
+    _trapezoid_weights,
 )
 from .sphere import (
     HarmonicSpectrum,
@@ -136,10 +138,15 @@ def sinogram_dominates(a: Sinogram, b: Sinogram) -> float:
 # The verifier
 # ----------------------------------------------------------------------------
 
-def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction):
+def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction,
+                   t: np.ndarray | None = None):
     if phi.grid is not psi.grid and phi.grid.n_nodes != psi.grid.n_nodes:
         raise GridMismatch("phi and psi live on different sphere grids")
-    return radon_transform(phi), radon_transform(psi)
+    if t is None:
+        t = symmetric_nodes()
+    r_phi = radon_transform(phi, t=t)
+    r_psi = radon_transform(psi, t=t)
+    return r_phi, r_psi
 
 
 def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
@@ -149,8 +156,10 @@ def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
 
     total = 0.0
     per_dir = cert.per_direction
+    radial_case = len(per_dir) == 1
     for d in range(len(sino.directions)):
-        omega, mhat = per_dir[d if len(per_dir) > 1 else 0].transform_data
+        c = per_dir[0] if radial_case else per_dir[d]
+        omega, mhat = c.transform_data
         spline = CubicSpline(sino.t, sino.values[d])
         inside = (omega >= sino.t[0]) & (omega <= sino.t[-1])
         vals = np.zeros_like(omega)
@@ -305,7 +314,7 @@ def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
         s = np.linspace(0.0, s_max, 4096)
         members = [i for i, v in enumerate(s_maxes) if v == s_max]
         t0, sigma = np.array([lattice[i] for i in members]).T
-        ds = 0.5 * (np.diff(s, prepend=0.0) + np.diff(s, append=s[-1]))
+        ds = _trapezoid_weights(s)
         # beta^(s) s^2 ds / (2 pi^2) per member, with trapezoid weights ds
         coeffs = (ds * s * s)[:, None] * sigma * np.cos(np.outer(s, t0)) \
             * np.exp(-0.25 * np.outer(s, sigma) ** 2) / math.pi ** 1.5
@@ -348,9 +357,14 @@ def _negative_window(omega: np.ndarray, mhat: np.ndarray,
     fast-decaying transforms, which would make the bump heavier-tailed than
     any Schwartz data; the half-depth width localizes it)."""
     i_w = int(np.argmin(np.abs(omega - witness)))
-    shallow = np.flatnonzero(~(mhat < 0.5 * mhat[i_w]))
-    lo = max(shallow[shallow < i_w], default=-1) + 1
-    hi = min(shallow[shallow > i_w], default=len(omega)) - 1
+    depth = mhat[i_w]
+    deep = mhat < 0.5 * depth
+    lo = i_w
+    while lo > 0 and deep[lo - 1]:
+        lo -= 1
+    hi = i_w
+    while hi < len(omega) - 1 and deep[hi + 1]:
+        hi += 1
     half = max(0.5 * (omega[hi] - omega[lo]), omega[1] - omega[0])
     return abs(float(witness)), float(half)
 

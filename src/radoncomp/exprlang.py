@@ -273,7 +273,8 @@ def _catalog_radial(name: str):
     from .radon3d import catalog_entry
 
     f = catalog_entry(name).f
-    return lambda r: f.values_polar(np.abs(np.ravel(r)))[:, 0].reshape(np.shape(r))
+    return lambda r: f(np.abs(np.ravel(r))[:, None] * [0.0, 0.0, 1.0]).reshape(
+        np.shape(r))
 
 
 _CATALOG_UNDERSCORE = {"gauss_r2": "gauss-r2", "erf_type": "erf-type",

@@ -34,6 +34,7 @@ __all__ = [
     "analyze",
     "synthesize",
     "evaluate_spectrum",
+    "degree_values_rows",
     "lp_norm_sphere",
     "reverse_holder_check",
     "normalized_legendre_table",
