@@ -271,7 +271,9 @@ class SeparableFunction:
         r_vals = np.asarray(r_vals, dtype=float)
         out = np.zeros((len(r_vals), self.grid.n_nodes))
         for b in self.blocks:
-            out += np.atleast_2d(b.profile(r_vals)).T @ b.values
+            # sum over rows of outer(u_i, l_i): for one row, np.outer's bits
+            out += np.einsum("qa,qb->ab", np.atleast_2d(b.profile(r_vals)),
+                             b.values)
         return out
 
     def scaled(self, c: float) -> "SeparableFunction":
@@ -571,7 +573,7 @@ def _by_degree(f: SeparableFunction, directions: np.ndarray, n_out: int,
             if k % 2 == 0 or not even_only:
                 rows = np.flatnonzero(b.coeffs[deg == k].any(axis=0))
                 prof = RadialProfile(b.samples[rows], f.r_max, b.profile.decay)
-                out += ang[k, rows].T @ kernel(k, prof)
+                out += np.einsum("qa,qb->ab", ang[k, rows], kernel(k, prof))
     return out
 
 
