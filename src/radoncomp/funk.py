@@ -18,6 +18,7 @@ from .errors import (
     NotPositive,
 )
 from .multipliers import (
+    REL_TOL,
     PDCertificate,
     certify_pd_r1,
     fourier_homogeneous,
@@ -28,6 +29,7 @@ from .sphere import (
     SphericalFunction,
     analyze,
     evaluate_spectrum,
+    first_minimum,
     gauss_legendre,
     lp_norm_sphere,
     orthonormal_frame,
@@ -149,7 +151,7 @@ def _newton_polish_extremum(spec: HarmonicSpectrum, node: np.ndarray,
 
 
 def verify_comparison_spherical(f: SphericalFunction, g: SphericalFunction,
-                                p: float, rel_tol: float = 1e-9) -> ComparisonReport:
+                                p: float, rel_tol: float = REL_TOL) -> ComparisonReport:
     """Affirmative-case verifier for the spherical comparison problem.
 
     Checks Rf <= Rg on the direction grid, certifies the positive-definiteness
@@ -223,7 +225,7 @@ def _nonneg_bandlimited_bump(h: SphericalFunction, delta: float,
 
 
 def construct_counterexample_spherical(base: SphericalFunction, p: float,
-                                       rel_tol: float = 1e-9,
+                                       rel_tol: float = REL_TOL,
                                        gap_tol: float = 1e-8,
                                        max_halvings: int = 20
                                        ) -> tuple[SphericalFunction, ComparisonReport]:
@@ -317,7 +319,7 @@ class SlicingReport:
 
     @property
     def holds(self) -> bool:
-        return self.margin >= -1e-9 * max(abs(self.rhs), 1.0)
+        return self.margin >= -REL_TOL * max(abs(self.rhs), 1.0)
 
 
 def slicing_check(f: SphericalFunction, p: float,
@@ -337,10 +339,8 @@ def slicing_check(f: SphericalFunction, p: float,
     hypothesis = cert.is_positive_definite
     rspec = sradon_spectral(_spectrum_of(f))
     rf = synthesize(rspec, f.grid, parity="even")
-    if lower_branch:
-        i_best = int(np.argmin(rf.values))
-    else:
-        i_best = int(np.argmax(rf.values))
+    i_best = first_minimum(rf.values if lower_branch else -rf.values,
+                           REL_TOL * rf.max_abs())
     node, val = _newton_polish_extremum(rspec, f.grid.nodes[i_best],
                                         maximize=not lower_branch)
     lhs = lp_norm_sphere(f, p)

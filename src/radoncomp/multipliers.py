@@ -27,6 +27,7 @@ from .sphere import (
     HarmonicSpectrum,
     SphericalFunction,
     analyze,
+    first_minimum,
     synthesize,
 )
 
@@ -41,6 +42,9 @@ __all__ = [
 ]
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
+# Default relative tolerance of a verdict: values within REL_TOL of the
+# largest one count as zero, and extremal values that close as tied.
+REL_TOL = 1e-9
 
 
 def multiplier(n: int, k: int, p: float) -> float:
@@ -115,7 +119,7 @@ def fourier_homogeneous(spectrum: HarmonicSpectrum, p: float, n: int = 3) -> Har
 
 
 def certify_pd_r1(f: SphericalFunction, q: float,
-                  rel_tol: float = 1e-9) -> PDCertificate:
+                  rel_tol: float = REL_TOL) -> PDCertificate:
     """Decide positive definiteness of the distribution f^q * r^{-1} on R^3.
 
     Pipeline: pointwise power, harmonic analysis (degree cap doubled, bounded
@@ -136,8 +140,8 @@ def certify_pd_r1(f: SphericalFunction, q: float,
     truncation_residual = float(np.max(np.abs(back.values - power.values)))
     transformed = synthesize(fourier_homogeneous(spec, 1.0), grid, parity="even")
     tol = rel_tol * max(transformed.max_abs(), 1e-300)
-    i_min = int(np.argmin(transformed.values))
-    v_min = float(transformed.values[i_min])
+    v_min = float(np.min(transformed.values))
+    i_min = first_minimum(transformed.values, tol)   # a node tied with v_min
     if v_min < -tol:
         verdict = "not-positive-definite"
     elif v_min > tol:

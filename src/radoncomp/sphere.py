@@ -116,6 +116,15 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def first_minimum(values: np.ndarray, tol: float) -> int:
+    """Index of the first value within tol of the minimum.
+
+    Values that tie to roundoff then name the same node whatever order their
+    sums were taken in; pass -values for the maximum.
+    """
+    return int(np.argmax(values <= values.min() + tol))
+
+
 def radial_gauss_legendre(r_max: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Legendre nodes and weights mapped to [0, r_max]."""
     x, w = gauss_legendre(n)

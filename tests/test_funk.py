@@ -32,12 +32,15 @@ from radoncomp.funk import (
     sradon_spectral,
     verify_comparison_spherical,
 )
-from radoncomp.multipliers import certify_pd_r1
+from radoncomp.multipliers import REL_TOL, certify_pd_r1
 from radoncomp.sphere import (
+    HarmonicSpectrum,
     SphericalFunction,
     analyze,
     constant_function,
+    degree_values_rows,
     evaluate_spectrum,
+    first_minimum,
     grid_function,
     lp_norm_sphere,
     synthesize,
@@ -242,6 +245,31 @@ def test_slicing_lower_branch(grid16):
     rep = slicing_check(f, 0.5, lower_branch=True)
     assert rep.lower_branch
     assert rep.holds
+
+
+def _radon_of_one(grid, order):
+    """R1 on the grid, its spectrum summed over the nodes in the given order."""
+    L = grid.bandwidth
+    y = degree_values_rows(np.eye((L + 1) ** 2), grid.nodes).sum(axis=0)
+    coeffs = y[:, order] @ grid.weights[order]
+    return synthesize(sradon_spectral(HarmonicSpectrum(L, coeffs)), grid).values
+
+
+def test_slicing_direction_ignores_roundoff_ties(grid16):
+    """Rf of f = 1 equals 2 pi at every node up to roundoff; noise of that
+    size and a reversed quadrature sum keep the first node within tolerance
+    of the maximum, which is the direction the report names."""
+    f = constant_function(grid16, 1.0)
+    rf = sradon_map(f).values
+    tol = REL_TOL * np.max(np.abs(rf))
+    best = first_minimum(-rf, tol)
+    nodes = np.arange(grid16.n_nodes)
+    noise = np.random.default_rng(11).uniform(-1e-15, 1e-15, rf.size)
+    assert first_minimum(-(rf + noise), tol) == best
+    assert first_minimum(-_radon_of_one(grid16, nodes), tol) == best
+    assert first_minimum(-_radon_of_one(grid16, nodes[::-1]), tol) == best
+    np.testing.assert_array_equal(slicing_check(f, 2.0).extremal_direction,
+                                  grid16.nodes[best])
 
 
 # ----------------------------------------------------------------------------

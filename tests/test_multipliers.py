@@ -174,6 +174,17 @@ def test_certify_pd_zonal_threshold(grid16):
     assert abs(cert.witness_point[2]) > 0.95
 
 
+def test_certify_pd_witness_ignores_roundoff_ties(grid16):
+    """For f = 1 the transform is constant; the witness stays the first node
+    when f carries noise at roundoff level."""
+    n = grid16.n_nodes
+    noise = np.random.default_rng(5).uniform(-1e-15, 1e-15, n)
+    for values in (np.ones(n), 1.0 + noise):
+        cert = certify_pd_r1(SphericalFunction(grid16, values, parity="even"), 1.0)
+        np.testing.assert_array_equal(cert.witness_point, grid16.nodes[0])
+        assert cert.witness_value == np.min(cert.transform_data.values)
+
+
 def test_certify_pd_transform_closed_form(grid16):
     z = grid16.nodes[:, 2]
     a = 0.8

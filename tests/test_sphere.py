@@ -20,6 +20,7 @@ from radoncomp.sphere import (
     constant_function,
     degree_values,
     evaluate_spectrum,
+    first_minimum,
     grid_function,
     lp_norm_sphere,
     normalized_legendre_table,
@@ -57,6 +58,13 @@ def test_grid_antipode_map_is_exact(grid16):
 
 def test_grid_is_cached():
     assert build_grid(16, 32) is build_grid(16, 32)
+
+
+def test_first_minimum_takes_first_tied_node():
+    values = np.array([3.0, 1.0 + 1e-12, 1.0, 2.0, 1.0])
+    assert first_minimum(values, 1e-9) == 1
+    assert first_minimum(values, 0.0) == 2
+    assert first_minimum(-values, 1e-9) == 0
 
 
 def test_invalid_grid_rejected():
