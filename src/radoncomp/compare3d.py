@@ -50,7 +50,6 @@ from .radon3d import (
     hemisphere_indices,
     radon_transform,
     separable_power,
-    symmetric_nodes,
     _trapezoid_weights,
 )
 from .sphere import (
@@ -138,15 +137,10 @@ def sinogram_dominates(a: Sinogram, b: Sinogram) -> float:
 # The verifier
 # ----------------------------------------------------------------------------
 
-def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction,
-                   t: np.ndarray | None = None):
+def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction):
     if phi.grid is not psi.grid and phi.grid.n_nodes != psi.grid.n_nodes:
         raise GridMismatch("phi and psi live on different sphere grids")
-    if t is None:
-        t = symmetric_nodes()
-    r_phi = radon_transform(phi, t=t)
-    r_psi = radon_transform(psi, t=t)
-    return r_phi, r_psi
+    return radon_transform(phi), radon_transform(psi)
 
 
 def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,

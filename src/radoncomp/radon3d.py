@@ -1034,15 +1034,9 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
                       / max(float(np.max(np.abs(target))), 1e-300))
     dual = dual_radon(g, n_r=min(n_r, 96), r_max=r_max, l_max=l_max)
     r_cmp = np.linspace(0.05 * r_max, 0.6 * r_max, 32)
-    a = f.values_polar(r_cmp)
-    b = dual.values_polar(r_cmp) if dual.grid is f.grid else None
-    if b is None:
-        pts = np.outer(r_cmp, [0.0, 0.0, 1.0])
-        a0 = f(pts)
-        b0 = dual(pts)
-        dual_res = float(np.max(np.abs(a0 - b0))) / max(float(np.max(np.abs(a0))), 1e-300)
-    else:
-        dual_res = float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(a))), 1e-300)
+    a = f.values_polar(r_cmp)        # f and its dual share one cached grid
+    b = dual.values_polar(r_cmp)
+    dual_res = float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(a))), 1e-300)
     report = {"relation_residual": rel_res, "dual_radon_residual": dual_res,
               "relation_constant": RELATION_CONSTANT}
     return f, report
