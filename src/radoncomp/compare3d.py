@@ -96,7 +96,7 @@ def lp_norm_rn(phi: SeparableFunction, p: float,
 
     The n_radial-point rule is built on first use and cached for the life of
     the process (sphere.gauss_legendre); at the default 2048 nodes the first
-    call pays 0.5-0.9 s for it, later calls nothing.
+    call pays about 0.1 s for it, later calls nothing.
     """
     if p <= 0.0:
         raise OutOfRange(f"p must be positive, got {p}")

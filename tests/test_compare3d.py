@@ -92,20 +92,19 @@ def test_lp_norm_heavy_tail_raises(grid16):
         lp_norm_rn(f, 1.0)
 
 
-def test_radial_rule_built_once(grid16, monkeypatch):
-    built = []
-    real = np.polynomial.legendre.leggauss
-
-    def counting(n):
-        built.append(n)
-        return real(n)
-
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
-    gauss_legendre.cache_clear()
+def test_radial_rule_built_once(grid16):
     f = gaussian(grid16)
+    gauss_legendre.cache_clear()
     lp_norm_rn(f, 2.0, n_radial=2048)
     lp_norm_rn(f, 1.0, n_radial=2048)
-    assert built == [2048]
+    info = gauss_legendre.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_lp_norm_of_gaussian_to_rounding(grid16):
+    """||e^{-r^2}||_1 = pi^{3/2}; the 2048-node radial rule carries it to
+    1e-14 (leggauss's rule: 1.6e-13)."""
+    assert abs(lp_norm_rn(gaussian(grid16), 1.0) / math.pi ** 1.5 - 1.0) <= 1e-14
 
 
 def test_cached_rule_is_read_only():

@@ -62,6 +62,22 @@ def test_high_bandwidth_round_trip_and_point_evaluation(seed, l_max):
         < 1e-11 * scale
 
 
+@given(seed=st.integers(0, 2 ** 31 - 1), n_polar=st.sampled_from([16, 32, 64]),
+       data=st.data())
+@settings(**SETTINGS)
+def test_parseval(seed, n_polar, data):
+    """The grid quadrature of |f|^2 equals the sum of squared coefficients for
+    a random spectrum of any degree up to the bandwidth, on each grid size
+    the benchmark uses (|f|^2 then has degree <= 2L, which the grid
+    integrates exactly)."""
+    grid = build_grid(n_polar, 2 * n_polar)
+    l_max = data.draw(st.integers(0, grid.bandwidth), label="l_max")
+    coeffs = np.random.default_rng(seed).standard_normal((l_max + 1) ** 2)
+    f = synthesize(HarmonicSpectrum(l_max, coeffs), grid)
+    energy = float(coeffs @ coeffs)
+    assert abs(float(grid.weights @ f.values ** 2) - energy) <= 1e-12 * energy
+
+
 @given(seed=st.integers(0, 2 ** 31 - 1), k=st.integers(0, 31).map(lambda i: 2 * i))
 @settings(**SETTINGS)
 def test_funk_eigenvalue_identity(seed, k):

@@ -3,6 +3,7 @@ trips, off-grid evaluation, norms, and the reverse Hoelder check."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import eval_legendre, sph_harm_y
@@ -21,6 +22,7 @@ from radoncomp.sphere import (
     degree_values,
     evaluate_spectrum,
     first_minimum,
+    gauss_legendre,
     grid_function,
     lp_norm_sphere,
     normalized_legendre_table,
@@ -82,6 +84,75 @@ def test_quadrature_exact_on_polynomial(grid16):
     xy = float(grid16.weights @ (grid16.nodes[:, 0] * grid16.nodes[:, 1]))
     assert math.isclose(z2, FOUR_PI / 3.0, rel_tol=1e-13)
     assert abs(xy) < 1e-14
+
+
+# ----------------------------------------------------------------------------
+# Gauss-Legendre rule vs a 40-digit reference
+# ----------------------------------------------------------------------------
+
+RULE_SIZES = [1, 2, 3, 16, 17, 64, 401, 2048]
+
+
+def _reference_node(n, x0):
+    """At 40 digits: one Newton step on the recurrence from x0, and the
+    weight 2 / ((1 - x^2) P_n'(x)^2) at the refined root."""
+    def legendre(x):
+        older, p = mpmath.mpf(1), x
+        for k in range(1, n):
+            older, p = p, ((2 * k + 1) * x * p - k * older) / (k + 1)
+        return p, n * (older - x * p) / (1 - x * x)
+
+    with mpmath.workdps(40):
+        x = mpmath.mpf(x0)
+        p, dp = legendre(x)
+        x -= p / dp
+        return x, 2 / ((1 - x * x) * legendre(x)[1] ** 2)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES)
+def test_gauss_legendre_matches_reference(n):
+    """Every node in [0, 1) (the rule is checked antisymmetric below), and at
+    n = 2048 the four outermost and the two central ones: within 2e-16 of a
+    root of P_n, weight within 1e-10 relative.  With the strict order checked
+    below, n distinct roots are all the roots, in order."""
+    x, w = gauss_legendre(n)
+    assert x.shape == w.shape == (n,)
+    half = range(n // 2, n)
+    for i in half if n <= 401 else [n // 2, n - 4, n - 3, n - 2, n - 1]:
+        ref_x, ref_w = _reference_node(n, x[i])
+        assert abs(float(ref_x - x[i])) <= 2e-16, (n, i)
+        assert abs(float((ref_w - w[i]) / ref_w)) <= 1e-10, (n, i)
+
+
+@pytest.mark.parametrize("n", RULE_SIZES + list(range(4, 40)))
+def test_gauss_legendre_ascending_antisymmetric_weights_sum_to_two(n):
+    x, w = gauss_legendre(n)
+    assert np.all(np.diff(x) > 0.0) and x[0] > -1.0 and x[-1] < 1.0
+    np.testing.assert_array_equal(x, -x[::-1])
+    np.testing.assert_array_equal(w, w[::-1])
+    assert np.all(w > 0.0)
+    assert abs(math.fsum(w) - 2.0) <= 4e-16
+
+
+def test_gauss_legendre_exact_on_chebyshev_polynomials():
+    """n = 2048 integrates T_m, m <= 2n - 1 = 4095, to 1e-13 (leggauss: 4e-13).
+
+    Rounding the nodes to float64 alone moves the sum by up to 2.3e-14 near
+    m = 4095, and cos(m arccos x) adds its own rounding, so 1e-13 is the
+    bound that rounding leaves room for."""
+    x, w = gauss_legendre(2048)
+    theta = np.arccos(x)
+    m = np.arange(4096)
+    exact = np.zeros(m.size)
+    exact[::2] = 2.0 / (1.0 - m[::2] ** 2.0)
+    for block in np.split(m, 8):
+        quad = np.cos(np.outer(block, theta)) @ w
+        assert np.max(np.abs(quad - exact[block])) <= 1e-13, block[0]
+
+
+def test_gauss_legendre_rejects_empty_rule():
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
 
 
 # ----------------------------------------------------------------------------
