@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf, eval_legendre
 
 from .errors import ArityError, ExprSyntaxError, InputInvalid, UnknownIdentifier
+from .sphere import erf, legendre
 
 __all__ = [
     "ExprAst", "Num", "Var", "Unary", "BinOp", "Call",
@@ -389,7 +389,7 @@ def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
         if k != int(k) or k < 0:
             raise InputInvalid(f"legendre degree must be a non-negative "
                                f"integer, got {k}")
-        return eval_legendre(int(k), evaluate(ast.args[1], ctx))
+        return legendre(int(k), evaluate(ast.args[1], ctx))
     if name == "gauss":
         _require_arity(ast, 1)
         width = _const_value(ast.args[0])

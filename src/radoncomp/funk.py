@@ -22,7 +22,7 @@ from .multipliers import (
     PDCertificate,
     certify_pd_r1,
     fourier_homogeneous,
-    funk_eigenvalue,
+    funk_eigenvalues,
 )
 from .sphere import (
     HarmonicSpectrum,
@@ -109,8 +109,7 @@ def sradon_direct(f: SphericalFunction, xi: np.ndarray,
 
 def sradon_spectral(spectrum: HarmonicSpectrum) -> HarmonicSpectrum:
     """Per-degree action of the transform: degree k scaled by 2 pi P_k(0)."""
-    table = np.array([funk_eigenvalue(k) for k in range(spectrum.l_max + 1)])
-    return spectrum.scaled_by_degree(table)
+    return spectrum.scaled_by_degree(funk_eigenvalues(spectrum.l_max))
 
 
 def sradon_map(f: SphericalFunction, l_max: int | None = None) -> SphericalFunction:

@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
-from scipy.special import gammaln, eval_legendre
 
 from .errors import NotPositive, OutOfRange
 from .sphere import (
@@ -28,6 +28,7 @@ from .sphere import (
     SphericalFunction,
     analyze,
     first_minimum,
+    legendre,
     synthesize,
 )
 
@@ -55,7 +56,7 @@ def multiplier(n: int, k: int, p: float) -> float:
         raise OutOfRange(f"exponent must lie in (0, {n}), got p={p}")
     sign = -1.0 if (k // 2) % 2 else 1.0
     log_mag = (n / 2.0) * math.log(math.pi) + (n - p) * math.log(2.0) \
-        + gammaln((k + n - p) / 2.0) - gammaln((k + p) / 2.0)
+        + math.lgamma((k + n - p) / 2.0) - math.lgamma((k + p) / 2.0)
     return sign * math.exp(log_mag)
 
 
@@ -67,11 +68,27 @@ def multiplier_table(n: int, l_max: int, p: float) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _funk_table(size: int) -> np.ndarray:
+    table = 2.0 * math.pi * legendre(np.arange(size), 0.0)
+    table.flags.writeable = False
+    return table
+
+
+def funk_eigenvalues(l_max: int) -> np.ndarray:
+    """2 pi P_k(0) for k = 0..l_max, read-only.
+
+    A slice of one table per power of two, built once: at x = 0 the
+    recurrence is P_k(0) = -(k - 1) / k * P_{k-2}(0), one step per degree.
+    """
+    return _funk_table(1 << int(l_max).bit_length())[:l_max + 1]
+
+
 def funk_eigenvalue(k: int, n: int = 3) -> float:
     """Eigenvalue of the spherical Radon transform on degree k (n = 3 engine)."""
     if n != 3:
         raise OutOfRange("grid engine is fixed at n = 3")
-    return 2.0 * math.pi * float(eval_legendre(k, 0.0))
+    return float(funk_eigenvalues(k)[k])
 
 
 @dataclass

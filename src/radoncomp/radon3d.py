@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import eval_legendre, spherical_jn, erf
 
 from .errors import (
     CertificateRequired,
@@ -40,7 +39,9 @@ from .sphere import (
     analyze_rows,
     build_grid,
     degree_values_rows,
+    erf,
     gauss_legendre,
+    legendre,
     orthonormal_frame,
     radial_gauss_legendre,
 )
@@ -542,7 +543,7 @@ def _degree_plane_integral(profile: RadialProfile, k: int,
         J, ss = np.arange(c0, n), s[c0:]
         x = np.divide(ta, ss, out=np.ones((len(ta), n - c0)), where=ss > 0)
         x[J < j0] = 0.0                            # left of the suffix
-        p = eval_legendre(k, x)
+        p = legendre(k, x)
         cnt = n - j0[:, 0]                         # nodes in each suffix
         w = np.where((cnt % 2 == 1)[:, None], odd[c0:], even[c0:])
         w = np.where(J > j0, w, J == j0)
@@ -681,6 +682,8 @@ def _bessel_tail_xjk(k: int, X: np.ndarray) -> np.ndarray:
     """
     if k == 0:
         return np.cos(X)
+    from scipy.special import spherical_jn
+
     tail = spherical_jn(0, X)            # int_X^inf j_1
     m = 2
     while m < k:
@@ -730,6 +733,8 @@ def _degree_radial_fourier(profile: RadialProfile, k: int,
     over a 32x grid extension, with a Euler-Maclaurin endpoint correction and
     the closed-form remaining tail (c/r^2) int_{rR}^inf x j_k(x) dx.
     """
+    from scipy.special import spherical_jn
+
     s_int, u_int = s, u = profile.r, np.atleast_2d(profile.samples)
     tail_c = u[:, -1] * s[-1] if profile.decay == "algebraic" \
         else np.zeros(len(u))
@@ -971,7 +976,7 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     c_nodes, c_w = gauss_legendre(200)
     t_eval = np.clip(np.outer(r_vals, c_nodes), g.t[0], g.t[-1])
     g_modes = CubicSpline(g.t, coeffs_t[modes], axis=-1)(t_eval)  # (q, r, c)
-    pk_w = c_w * eval_legendre(deg[:, None], c_nodes)
+    pk_w = c_w * legendre(deg[:, None], c_nodes)
     return _modal_function(grid, l_max, r_vals, "algebraic", modes,
                            TWO_PI * np.einsum("qrc,qc->qr", g_modes, pk_w))
 
@@ -1007,6 +1012,8 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
         directions = np.array([[0.0, 0.0, 1.0]])
         g_rows = g.values[:1]
     else:
+        from scipy.special import spherical_jn
+
         _require_quadrature(g)
         directions = g.directions
         # transform each data row, extend evenly, expand in harmonics
@@ -1165,6 +1172,16 @@ class CatalogEntry:
                         grid=grid, direction_indices=idx)
 
 
+def _catalog_fhat(h: Callable) -> Callable:
+    """f^(r) = 8 pi^2 h(r) / r^2 for the interior ray profile h: +inf at
+    r <= 0, and wherever the quotient overflows."""
+    def fhat(r):
+        r = np.asarray(r, float)
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(r > 0.0, 8.0 * math.pi ** 2 * h(r) / r ** 2, np.inf)
+    return fhat
+
+
 def catalog_entry(name: str, grid: SphereGrid | None = None,
                   q: float | None = None,
                   r_max: float = DEFAULT_T_MAX,
@@ -1184,7 +1201,6 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
     """
     if grid is None:
         grid = build_grid(16, 32)
-    c8 = 8.0 * math.pi ** 2
     if name == "gauss-r2":
         def u(r):
             r = np.asarray(r, float)
@@ -1213,17 +1229,10 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
             return out
 
         h = lambda r: np.exp(-np.asarray(r, float) ** 2)
-
-        def fhat(r):
-            r = np.asarray(r, float)
-            with np.errstate(divide="ignore"):
-                return np.where(r > 0.0,
-                                c8 * h(r) / np.maximum(r, 1e-150) ** 2,
-                                np.inf)
         g0 = lambda t: np.exp(-np.asarray(t, float) ** 2 / 4.0) / (2.0 * math.sqrt(math.pi))
         mhat = lambda t: 8.0 * math.pi ** 2.5 * np.exp(-np.asarray(t, float) ** 2 / 4.0)
         f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
-                             fourier_radial=fhat, name=name)
+                             fourier_radial=_catalog_fhat(h), name=name)
         return CatalogEntry(name, f, g0, h, mhat)
     if name == "exp-ell":
         def u(r):
@@ -1231,13 +1240,10 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
             return np.where(r > 0.0, 4.0 * np.arctan(r) / np.maximum(r, 1e-300), 4.0)
 
         h = lambda r: np.exp(-np.abs(np.asarray(r, float)))
-        fhat = lambda r: np.where(np.asarray(r, float) > 0.0,
-                                  c8 * h(r) / np.maximum(np.asarray(r, float), 1e-300) ** 2,
-                                  np.inf)
         g0 = lambda t: 1.0 / (math.pi * (1.0 + np.asarray(t, float) ** 2))
         mhat = lambda t: 16.0 * math.pi ** 2 / (1.0 + np.asarray(t, float) ** 2)
         f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
-                             fourier_radial=fhat, name=name)
+                             fourier_radial=_catalog_fhat(h), name=name)
         return CatalogEntry(name, f, g0, h, mhat)
     if name == "cauchy-ell":
         def u(r):
@@ -1247,13 +1253,10 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
                             TWO_PI)
 
         h = lambda r: 1.0 / (1.0 + np.asarray(r, float) ** 2)
-        fhat = lambda r: np.where(np.asarray(r, float) > 0.0,
-                                  c8 * h(r) / np.maximum(np.asarray(r, float), 1e-300) ** 2,
-                                  np.inf)
         g0 = lambda t: np.exp(-np.abs(np.asarray(t, float))) / 2.0
         mhat = lambda t: 8.0 * math.pi ** 3 * np.exp(-np.abs(np.asarray(t, float)))
         f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
-                             fourier_radial=fhat, name=name)
+                             fourier_radial=_catalog_fhat(h), name=name)
         return CatalogEntry(name, f, g0, h, mhat)
     if name.startswith("gamma-q"):
         if q is None:
@@ -1278,12 +1281,8 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
             return np.where(r > 0.0, TWO_PI * (hi - lo) / np.maximum(r, 1e-300),
                             FOUR_PI * np.interp(0.0, tn, g_samples))
 
-        fhat = (lambda h: lambda r: np.where(
-            np.asarray(r, float) > 0.0,
-            c8 * h(r) / np.maximum(np.asarray(r, float), 1e-300) ** 2,
-            np.inf))(h)
         f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
-                             fourier_radial=fhat, name=f"gamma-q({q:g})")
+                             fourier_radial=_catalog_fhat(h), name=f"gamma-q({q:g})")
         return CatalogEntry(f"gamma-q({q:g})", f, g0, h, None,
                             notes=f"q = {q:g}; intersection function iff q <= 2")
     raise InputInvalid(f"unknown catalog name {name!r}; known: {CATALOG_NAMES}")

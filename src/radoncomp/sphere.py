@@ -102,13 +102,35 @@ class SphereGrid:
         return id(self)
 
 
+# Special functions used on S^2 and in R^3, in NumPy and the standard library
+# alone, so that importing radoncomp loads no scipy module.
+
+def legendre(n, x):
+    """P_n(x) by the three-term recurrence, in the precision of x (float64 at
+    least).  The degree n >= 0 is an integer or an integer array that
+    broadcasts against x, so an array of degrees gives one row per degree
+    from one pass of the recurrence.  The coefficients are integers, so no
+    rounded coefficient biases every point the same way; P_n(+-1) = (+-1)^n
+    exactly."""
+    x = np.asarray(x, dtype=np.result_type(x, 1.0))
+    n = np.asarray(n)
+    wanted = set(n.ravel().tolist())   # not np.unique: it loads numpy.ma
+    out = np.ones(np.broadcast_shapes(n.shape, x.shape), dtype=x.dtype)
+    older, p = np.zeros_like(x), np.ones_like(x)   # the k = 1 step zeroes older
+    for k in range(1, max(wanted, default=0) + 1):
+        older, p = p, ((2 * k - 1) * (x * p) - (k - 1) * older) / k
+        if k in wanted:
+            np.copyto(out, p, where=n == k)
+    return out[()]
+
+
+# The error function elementwise, float64: math.erf on each value.
+erf = np.vectorize(math.erf, otypes=[float])
+
+
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) for n >= 1, |x| < 1, by the three-term recurrence
-    in the precision of x.  The coefficients are integers, so no rounded
-    coefficient biases every node the same way."""
-    older, p = np.ones_like(x), x
-    for k in range(1, n):
-        older, p = p, ((2 * k + 1) * (x * p) - k * older) / (k + 1)
+    """P_n(x) and P_n'(x) for n >= 1, |x| < 1, from P_{n-1} and P_n."""
+    older, p = legendre(np.array([[n - 1], [n]]), x)
     return p, n * (older - x * p) / ((1 - x) * (1 + x))
 
 

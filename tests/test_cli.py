@@ -87,16 +87,29 @@ def test_csv_outputs_written(tmp_path):
     assert (out / "sinogram_psi.csv").exists()
 
 
-def test_cli_import_leaves_scipy_interpolate_out():
-    # S^2 runs never interpolate, so the CLI does not pay for the import
+def test_cli_import_and_s2_catalog_runs_load_no_scipy(tmp_path):
+    # S^2 and catalog runs need only elementary special functions, so neither
+    # the import nor such a run pays for loading any scipy module
     src = str(Path(radoncomp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, radoncomp.cli; print('scipy.interpolate' in sys.modules)"
-    run = subprocess.run([sys.executable, "-c", code], env=env,
+    code = (
+        "import sys\n"
+        "from radoncomp.cli import main\n"
+        "def loaded():\n"
+        "    print(sorted(m for m in sys.modules\n"
+        "                 if m == 'scipy' or m.startswith('scipy.')))\n"
+        "loaded()\n"
+        "for kind, config, out in zip(*[iter(sys.argv[1:])] * 3):\n"
+        "    assert main([kind, '--config', config, '--out', out]) == 0\n"
+        "    loaded()\n")
+    args = []
+    for name in ("certify-pd.ini", "catalog-verify.ini"):
+        args += [kind_of(name), str(CONFIG_DIR / name), str(tmp_path / name)]
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.splitlines() == ["[]"] * 3
 
 
 def test_seed_key_is_echoed_not_read(tmp_path):

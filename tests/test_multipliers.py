@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gamma
+from scipy.special import gamma, gammaln
 
 from conftest import random_positive_even
 from radoncomp.errors import NotPositive, OutOfRange
@@ -21,6 +21,7 @@ from radoncomp.multipliers import (
     certify_pd_r1,
     fourier_homogeneous,
     funk_eigenvalue,
+    funk_eigenvalues,
     multiplier,
     multiplier_table,
     spherical_parseval_check,
@@ -102,11 +103,36 @@ def test_funk_eigenvalue_closed_form():
                             2.0 * math.pi * double_factorial_pk0(k),
                             rel_tol=1e-13)
     assert abs(funk_eigenvalue(3)) < 1e-14   # odd degrees are annihilated
+    # the whole table up to k = 4096 against P_{2m}(0) = (-1)^m C(2m, m) / 4^m,
+    # rounded once from the exact fraction; the recurrence's error grows
+    # linearly in k
+    table = funk_eigenvalues(4096)
+    assert len(table) == 4097 and not table.flags.writeable
+    for k in range(4097):
+        assert funk_eigenvalue(k) == table[k]
+        if k % 2:
+            assert table[k] == 0.0, k
+        else:
+            exact = (-1) ** (k // 2) * math.comb(k, k // 2) / 4 ** (k // 2)
+            assert math.isclose(table[k], 2.0 * math.pi * exact,
+                                rel_tol=1e-15 + 1e-16 * k), k
 
 
 def test_funk_eigenvalue_only_dimension_three():
     with pytest.raises(OutOfRange):
         funk_eigenvalue(2, n=4)
+
+
+def test_multiplier_matches_gammaln_form():
+    # math.lgamma in place of scipy's gammaln: the same log-Gamma formula
+    for k in range(0, 257, 2):
+        for p in (0.25, 0.5, 1.0, 1.5, 2.0, 2.75):
+            sign = -1.0 if (k // 2) % 2 else 1.0
+            ref = sign * math.exp(1.5 * math.log(math.pi)
+                                  + (3.0 - p) * math.log(2.0)
+                                  + gammaln((k + 3.0 - p) / 2.0)
+                                  - gammaln((k + p) / 2.0))
+            assert math.isclose(multiplier(3, k, p), ref, rel_tol=1e-12), (k, p)
 
 
 def test_section_identity_lambda_at_p2():

@@ -1,9 +1,11 @@
 """Randomized invariants checked with hypothesis: spectral round trips,
-multiplier duality, expression round trips, and transform symmetries."""
+multiplier duality, expression round trips, transform symmetries, the
+elementwise erf and the catalog closed forms."""
 
 import functools
 import math
 
+import mpmath
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -12,18 +14,21 @@ from radoncomp.exprlang import parse_expr, pretty_print
 from radoncomp.multipliers import multiplier
 from radoncomp.radon3d import (
     SeparableFunction,
+    catalog_entry,
     fourier_1d,
     fourier_along_rays,
     radial_profile,
     radon_transform,
     separable_power,
     separable_radial,
+    symmetric_nodes,
 )
 from radoncomp.sphere import (
     HarmonicSpectrum,
     SphericalFunction,
     analyze,
     build_grid,
+    erf,
     evaluate_spectrum,
     synthesize,
 )
@@ -244,3 +249,50 @@ def test_fourier_slice(seed):
     assert gap <= 1e-8 * scale
     gap, scale = _slice_gap(separable_power(f, 2.0))
     assert gap <= 1e-5 * scale
+
+
+@given(r=st.lists(st.floats(0.0, 60.0, allow_subnormal=False),
+                  min_size=1, max_size=16))
+@settings(**SETTINGS)
+def test_erf_matches_mpmath(r):
+    """The elementwise erf, and the catalog closed forms built on it: the
+    erf-type radial function 2 pi erf(r/2) / r and the gauss-r2 transform
+    2 pi^2 erf(r/2) / r, against 30-digit references.  Subnormal r are not
+    drawn: r / 2 then drops bits before erf sees it."""
+    r = np.array(r)
+    mpmath.mp.dps = 30
+    ref = lambda c, x: float(c * mpmath.erf(mpmath.mpf(x) / 2) / mpmath.mpf(x)) \
+        if x > 1e-300 else float(c / mpmath.sqrt(mpmath.pi))
+    assert np.allclose(erf(r), [float(mpmath.erf(x)) for x in r],
+                       rtol=4.5e-16, atol=0.0)
+    u = catalog_entry("erf-type", GRID).f.blocks[0].profile
+    assert np.allclose(u(r), [ref(2 * mpmath.pi, x) for x in r],
+                       rtol=1e-15, atol=0.0)
+    fhat = catalog_entry("gauss-r2", GRID).f.fourier_radial
+    assert np.allclose(fhat(r), [ref(2 * mpmath.pi ** 2, x) for x in r],
+                       rtol=1e-15, atol=0.0)
+
+
+# Largest relative error of the 1D transform of m = 8 pi^2 h on the nodes
+# (n nodes on [-R, R), spacing dt): the Gaussian is resolved to roundoff; the
+# kink of e^{-|r|} at 0 costs about dt^2 / 7 and its truncation e^{-R}; the
+# truncated tail of 1 / (1 + r^2) has mass about 2 / R against pi.
+CATALOG_TRANSFORM_ERROR = {
+    "erf-type": lambda R, dt: 1e-14,
+    "exp-ell": lambda R, dt: dt * dt / 4.0 + 2.0 * math.exp(-R),
+    "cauchy-ell": lambda R, dt: 1.0 / R,
+}
+
+
+@given(name=st.sampled_from(sorted(CATALOG_TRANSFORM_ERROR)),
+       r_max=st.floats(6.0, 64.0), n=st.sampled_from([1024, 2048, 4096]))
+@settings(**SETTINGS)
+def test_catalog_ray_profile_transforms(name, r_max, n):
+    """fourier_1d of m = 8 pi^2 h on the entry's nodes matches the entry's
+    closed-form transform of m."""
+    entry = catalog_entry(name, GRID, r_max=r_max, n=n)
+    t, dt = symmetric_nodes(n, r_max), 2.0 * r_max / n
+    omega, mhat = fourier_1d(8.0 * math.pi ** 2 * entry.h_eval(t), dt)
+    ref = entry.mhat_eval(omega)
+    assert np.max(np.abs(mhat - ref)) \
+        <= CATALOG_TRANSFORM_ERROR[name](r_max, dt) * np.max(np.abs(ref))

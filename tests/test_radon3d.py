@@ -499,6 +499,18 @@ def test_catalog_gauss_r2_closed_forms(grid16):
     assert np.max(np.abs(entry.f.fourier_radial(r) - ref_hat)) < 1e-12
 
 
+def test_catalog_transforms_share_one_guard(grid16):
+    # f^ = 8 pi^2 h / r^2 in every entry with an interior profile h: +inf at
+    # r <= 0 and where the quotient overflows, the quotient itself elsewhere
+    r = np.array([-1.0, 0.0, 1e-200, 1e-150, 1e-100, 1.0])
+    for name in ("erf-type", "exp-ell", "cauchy-ell", "gamma-q(1.5)"):
+        entry = catalog_entry(name, grid16)
+        fhat = entry.f.fourier_radial(r)
+        assert np.all(np.isposinf(fhat[:3])), name
+        ref = 8.0 * math.pi ** 2 * entry.h_eval(r[3:]) / r[3:] ** 2
+        assert np.array_equal(fhat[3:], ref), name
+
+
 def test_catalog_erf_type_interior_relation(grid16):
     # the data row and the function satisfy r^2 f^ = 8 pi^2 ghat exactly
     entry = catalog_entry("erf-type", grid16)

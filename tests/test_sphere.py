@@ -24,6 +24,7 @@ from radoncomp.sphere import (
     first_minimum,
     gauss_legendre,
     grid_function,
+    legendre,
     lp_norm_sphere,
     normalized_legendre_table,
     reverse_holder_check,
@@ -169,6 +170,27 @@ def test_normalized_legendre_matches_scipy():
             # (-1)^m-free normalized associated Legendre up to the CS phase
             ref = sph_harm_y(k, m, theta, 0.0).real * (-1.0) ** m
             assert np.max(np.abs(q[k, m] - ref)) < 1e-12, (k, m)
+
+
+def test_legendre_matches_scipy():
+    """P_k for k = 0..256 on [-1, 1], endpoints and 0 included: one pass for
+    an array of degrees, row by row for one degree, point by point for
+    scalars.  The recurrence's error grows linearly in k."""
+    x = np.r_[-1.0, np.linspace(-0.999, 0.999, 41), 0.0, 1.0]
+    k = np.arange(257)
+    rows = legendre(k[:, None], x)
+    assert rows.shape == (257, len(x))
+    err = np.max(np.abs(rows - eval_legendre(k[:, None], x)), axis=1)
+    assert np.all(err <= 1e-14 * (k + 1)), int(np.argmax(err / (k + 1)))
+    assert np.array_equal(rows[:, -1], np.ones(257))            # P_k(1) = 1
+    assert np.array_equal(rows[:, 0], (-1.0) ** k)              # P_k(-1)
+    assert np.array_equal(rows[1::2, -2], np.zeros(128))        # odd P_k(0)
+    assert legendre(k[:0, None], x).shape == (0, len(x))       # no degrees
+    for deg in (0, 1, 2, 7, 64, 256):
+        assert np.array_equal(legendre(deg, x), rows[deg])
+        for j in (0, 10, 21, 42, 43):
+            value = legendre(deg, float(x[j]))
+            assert np.ndim(value) == 0 and value == rows[deg, j]
 
 
 def test_basis_orthonormality(grid16):
