@@ -336,13 +336,14 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None,
 # ----------------------------------------------------------------------------
 
 def _configure_threads(n: int | None) -> None:
+    # NumPy, and with it the BLAS, is loaded by now, so setting
+    # OPENBLAS_NUM_THREADS and the like here would change nothing: only
+    # threadpoolctl resizes a loaded BLAS pool.
     if n is None:
         env = os.environ.get("RADONCOMP_THREADS")
         n = int(env) if env else None
     if n is None:
         return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
     try:
         import threadpoolctl
 
@@ -365,8 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply every tolerance by this factor")
         sp.add_argument("--threads", type=int, default=None,
-                        help="BLAS/OpenMP thread cap "
-                             "(fallback: RADONCOMP_THREADS)")
+                        help="BLAS/OpenMP thread cap, applied through "
+                             "threadpoolctl; without threadpoolctl installed "
+                             "it has no effect (fallback: RADONCOMP_THREADS)")
     return parser
 
 
