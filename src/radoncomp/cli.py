@@ -253,7 +253,8 @@ def _run_catalog_verify(cfg, out, scale):
     residuals = {}
     direction = np.array([[0.0, 0.0, 1.0]])
     r_nodes, m = ray_profile_samples(entry.f, direction, cfg.r_max, cfg.n_t)
-    omega, mhat = fourier_1d(m[0], r_nodes[1] - r_nodes[0])
+    dt = 2.0 * cfg.r_max / cfg.n_t
+    omega, mhat = fourier_1d(m[0], dt)
     if entry.h_eval is not None:
         m_ref = c8 * entry.h_eval(r_nodes)
         residuals["ray_profile"] = float(
@@ -265,7 +266,7 @@ def _run_catalog_verify(cfg, out, scale):
     if entry.g_eval is not None and entry.f.fourier_radial is not None:
         # interior relation: r^2 f^(r) = 8 pi^2 * (1D transform of g)(r)
         t = symmetric_nodes(cfg.n_t, cfg.r_max)
-        om_g, ghat = fourier_1d(entry.g_eval(t), t[1] - t[0])
+        om_g, ghat = fourier_1d(entry.g_eval(t), dt)
         nz = om_g != 0.0           # the closed form r^2 f^(r) has a 0 * inf
         lhs = om_g[nz] ** 2 * entry.f.fourier_radial(np.abs(om_g[nz]))
         residuals["relation"] = float(

@@ -13,12 +13,13 @@ the last step is the reverse Hoelder inequality.  At p = 1 domination alone
 decides, by integrating the sinogram gap over offsets and directions.
 
 The counterexample constructor runs the chain backwards: when w is not an
-intersection function, some mu_nu is negative on a frequency window; a
-sinogram-side bump beta(t) (times an angular cap for non-radial witnesses)
-supported there is pulled back through the Fourier-slice identity to a
-sign-changing h with R h = beta >= 0 and int w h < 0, and phi = psi - eta h
-dominates while carrying the strictly larger norm.  (h itself cannot be taken
-non-negative: 0 <= phi <= psi pointwise already forces |phi|_p <= |psi|_p.)
+intersection function, the direction average of the transforms of its ray
+measures is negative on a frequency window (for integrable w it integrates to
+0); a sinogram-side bump beta(t) supported there is pulled back through the
+Fourier-slice identity to a sign-changing radial h with R h = beta >= 0 and
+int w h < 0, and phi = psi - eta h dominates while carrying the strictly
+larger norm.  (h itself cannot be taken non-negative: 0 <= phi <= psi
+pointwise already forces |phi|_p <= |psi|_p.)
 """
 
 from __future__ import annotations
@@ -50,12 +51,8 @@ from .radon3d import (
     hemisphere_indices,
     radon_transform,
     separable_power,
-    _trapezoid_weights,
 )
 from .sphere import (
-    HarmonicSpectrum,
-    SphericalFunction,
-    analyze,
     degree_values_rows,
     radial_gauss_legendre,
 )
@@ -272,62 +269,30 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
 # The counterexample constructor
 # ----------------------------------------------------------------------------
 
-def _bump_profiles(lattice: list[tuple[float, float]], cap_spec, grid,
+def _bump_profiles(lattice: list[tuple[float, float]], grid,
                    r_max: float = DEFAULT_T_MAX,
                    n_r: int = 1024) -> list[SeparableFunction]:
-    """h with R h(t, theta) = beta(t) * cap(theta) exactly (Fourier slice),
-    one per (t0, sigma) of the lattice, in lattice order, sampled on
-    [0, r_max] (psi's, in the counterexample: psi - eta h has one r_max).
+    """Radial h with R h(t, theta) = beta(t) exactly (Fourier slice), one per
+    (t0, sigma) of the lattice, in lattice order, sampled on [0, r_max]
+    (psi's, in the counterexample: psi - eta h has one r_max).
 
     beta(t) = e^{-(t - t0)^2/sigma^2} + e^{-(t + t0)^2/sigma^2}, so
-    beta^(s) = 2 sigma sqrt(pi) cos(s t0) e^{-sigma^2 s^2 / 4}.  Every mode of
-    cap degree k shares h_k(r) = (-1)^{k/2} / (2 pi^2) int beta^(s) j_k(rs)
-    s^2 ds, so each h is one block with one row per cap degree: radial row
-    h_k, angular row the cap's degree-k part.  h_0 = -beta'(r) / (2 pi r) is
-    closed-form, so a radial cap builds no Bessel table; each degree k >= 2
-    builds one table j_k(r s) per frequency grid, contracted with all its
-    lattice points in one matrix product, one (n_r x 4096) table at a time.
+    h(r) = -beta'(r) / (2 pi r) is closed form: each h is one block with one
+    radial row and the constant angular row.
     """
-    from scipy.special import spherical_jn
-
-    r_vals = np.linspace(0.0, r_max, n_r)
-    live, deg = cap_spec.live_modes(even_only=True), cap_spec.degrees()
-    degrees = cap_spec.live_degrees(even_only=True)
-    parts = np.zeros((len(deg), len(degrees)))           # (mode, cap degree)
-    parts[live, np.searchsorted(degrees, deg[live])] = cap_spec.coeffs[live]
-    angular = degree_values_rows(parts, grid.nodes).sum(axis=0)
-    radial = np.empty((len(lattice), len(degrees), n_r))  # (point, k, r)
-    for i, (t0, sigma) in enumerate(lattice if degrees[0] == 0 else ()):
-        a, b, rr = r_vals[1:] - t0, r_vals[1:] + t0, r_vals[1:]
-        radial[i, 0] = np.r_[
+    r = np.linspace(0.0, r_max, n_r)[1:]
+    parts = np.array([[math.sqrt(4.0 * math.pi)]])   # (mode, row): Y_00 only
+    angular = degree_values_rows(parts, grid.nodes)[0]
+    bumps = []
+    for t0, sigma in lattice:
+        a, b = r - t0, r + t0
+        u = np.r_[
             2.0 * (1.0 - 2.0 * (t0 / sigma) ** 2) * math.exp(-(t0 / sigma) ** 2),
-            (a * np.exp(-(a / sigma) ** 2) + b * np.exp(-(b / sigma) ** 2)) / rr
+            (a * np.exp(-(a / sigma) ** 2) + b * np.exp(-(b / sigma) ** 2)) / r
         ] / (math.pi * sigma ** 2)
-    s_maxes = [max(20.0 / sigma, 4.0 * abs(t0), 40.0) for t0, sigma in lattice]
-    for s_max in dict.fromkeys(s_maxes):
-        s = np.linspace(0.0, s_max, 4096)
-        members = [i for i, v in enumerate(s_maxes) if v == s_max]
-        t0, sigma = np.array([lattice[i] for i in members]).T
-        ds = _trapezoid_weights(s)
-        # beta^(s) s^2 ds / (2 pi^2) per member, with trapezoid weights ds
-        coeffs = (ds * s * s)[:, None] * sigma * np.cos(np.outer(s, t0)) \
-            * np.exp(-0.25 * np.outer(s, sigma) ** 2) / math.pi ** 1.5
-        for row, k in [(row, k) for row, k in enumerate(degrees) if k > 0]:
-            jk = spherical_jn(k, np.outer(r_vals, s))
-            radial[members, row] = (-1.0 if (k // 2) % 2 else 1.0) \
-                * (jk @ coeffs).T
-            del jk                  # free it before the next table is built
-    return [SeparableFunction([RowBlock(RadialProfile(u, r_max, "schwartz"),
-                                        angular, parts, grid)])
-            for u in radial]
-
-
-def _angular_cap_spectrum(nu: np.ndarray, grid, power: int):
-    """Spectrum of the even, non-negative, exactly band-limited cap
-    <theta, nu>^{2 power} (a polynomial, so analysis is exact)."""
-    vals = (grid.nodes @ nu) ** (2 * power)
-    return analyze(SphericalFunction(grid, vals, parity="even"),
-                   min(2 * power, grid.bandwidth))
+        bumps.append(SeparableFunction([RowBlock(
+            RadialProfile(u[None, :], r_max, "schwartz"), angular, parts, grid)]))
+    return bumps
 
 
 def _combine(psi: SeparableFunction, h: SeparableFunction,
@@ -344,13 +309,13 @@ def _integral_against(w_fn: SeparableFunction, h: SeparableFunction,
     return float((wg * rg * rg) @ vals @ grid.weights)
 
 
-def _negative_window(omega: np.ndarray, mhat: np.ndarray,
-                     witness: float) -> tuple[float, float]:
-    """Witness frequency and the half-depth half-width of the negative dip
-    around it (the sign-only window can stretch to the grid edge for
-    fast-decaying transforms, which would make the bump heavier-tailed than
-    any Schwartz data; the half-depth width localizes it)."""
-    i_w = int(np.argmin(np.abs(omega - witness)))
+def _negative_window(omega: np.ndarray,
+                     mhat: np.ndarray) -> tuple[float, float]:
+    """Frequency of the minimum of mhat and the half-depth half-width of the
+    negative dip around it (the sign-only window can stretch to the grid edge
+    for fast-decaying transforms, which would make the bump heavier-tailed
+    than any Schwartz data; the half-depth width localizes it)."""
+    i_w = int(np.argmin(mhat))
     depth = mhat[i_w]
     deep = mhat < 0.5 * depth
     lo = i_w
@@ -360,7 +325,7 @@ def _negative_window(omega: np.ndarray, mhat: np.ndarray,
     while hi < len(omega) - 1 and deep[hi + 1]:
         hi += 1
     half = max(0.5 * (omega[hi] - omega[lo]), omega[1] - omega[0])
-    return abs(float(witness)), float(half)
+    return abs(float(omega[i_w])), float(half)
 
 
 def construct_counterexample_radon(psi: SeparableFunction, p: float,
@@ -371,10 +336,11 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
                                               RnComparisonReport]:
     """phi = psi - eta h with R phi <= R psi yet |phi|_p > |psi|_p (p > 1).
 
-    Requires psi^{p-1} to fail intersection-function certification; the bump
+    Requires psi^{p-1} to fail intersection-function certification.  The
+    bump h is radial for every psi, so int psi^{p-1} h pairs beta with the
+    direction average of the certificate's ray-measure transforms; its
     parameters (t0, sigma) are searched on a small lattice around the
-    certificate's negative-frequency window, the angular cap (non-radial
-    witnesses) around the witness direction.
+    negative window of that average.
     """
     if p <= 0.0:
         raise OutOfRange(f"p must be positive, got {p}")
@@ -393,26 +359,23 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
             f"p = {p}; the comparison theorem applies and no counterexample "
             "exists"
         )
-    failing = [d for d, c in enumerate(cert.per_direction)
-               if c.verdict == "not-positive-definite"]
-    d_star = min(failing,
-                 key=lambda d: cert.per_direction[d].witness_value)
-    c_star = cert.per_direction[d_star]
-    omega, mhat = c_star.transform_data
-    t_star, half = _negative_window(omega, mhat, float(c_star.witness_point))
+    n_failing = sum(c.verdict == "not-positive-definite"
+                    for c in cert.per_direction)
     grid = psi.grid
-    radial_case = len(cert.per_direction) == 1
-    if radial_case:
-        cap_spec = HarmonicSpectrum(0, np.array([math.sqrt(4.0 * math.pi)]))
-    else:
-        nu = cert.directions[d_star]
-        cap_spec = _angular_cap_spectrum(nu, grid, power=6)
+    # direction average with the verifier's hemisphere weights; a radial
+    # certificate has one direction, whose transform is taken as it is
+    mhats = np.array([c.transform_data[1] for c in cert.per_direction])
+    w_dir = 2.0 * grid.weights[hemisphere_indices(grid)] \
+        if len(mhats) > 1 else np.ones(1)
+    omega = cert.per_direction[0].transform_data[0]
+    mhat = w_dir @ mhats / w_dir.sum()
+    t_star, half = _negative_window(omega, mhat)
 
     # lattice search for the most negative int w h
     lattice = [(t0, sigma) for t0 in (t_star, 0.85 * t_star, 1.15 * t_star)
                for sigma in (half / 2.0, half / 3.0, half)]
     best = None
-    for (t0, sigma), h in zip(lattice, _bump_profiles(lattice, cap_spec, grid,
+    for (t0, sigma), h in zip(lattice, _bump_profiles(lattice, grid,
                                                       psi.r_max)):
         ip = _integral_against(w_fn, h)
         if best is None or ip < best[0]:
@@ -464,7 +427,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
         conclusion_holds=False, hypothesis_holds=False,
         chain={"eta": eta, "bump_pairing": ip, "norm_gap": gap,
                "bump_center": t0, "bump_width": sigma,
-               "n_failing_directions": float(len(failing))},
+               "n_failing_directions": float(n_failing)},
         notes="counterexample: domination holds while |phi|_p > |psi|_p",
         sinograms=(r_phi, r_psi),
     )

@@ -435,7 +435,8 @@ class Sinogram:
 
     @property
     def dt(self) -> float:
-        return float(self.t[1] - self.t[0])
+        # symmetric_nodes' 2 T / n: t[1] - t[0] carries the nodes' rounding
+        return float(-self.t[0] / (len(self.t) // 2))
 
     def evenness_residual(self) -> float:
         n = len(self.t)
@@ -843,7 +844,7 @@ def certify_intersection_function(f: SeparableFunction,
         directions = f.grid.nodes[idx]
         dir_source = "hemisphere"
     r_nodes, m = ray_profile_samples(f, directions, r_max, n)
-    dt = r_nodes[1] - r_nodes[0]
+    dt = 2.0 * r_max / n
     peak = np.max(np.abs(m), axis=1)
     tail = np.max(np.abs(m[:, [0, 1, -1]]), axis=1)
     tail_coeff = np.zeros(len(directions))
@@ -1266,7 +1267,7 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
         h = (lambda q: lambda r: np.exp(-np.abs(np.asarray(r, float)) ** q))(q)
         # sinogram data g0 = (1 / 2 pi) * transform of h, computed once
         t_nodes = symmetric_nodes(n, r_max)
-        _, hhat = fourier_1d(h(t_nodes), t_nodes[1] - t_nodes[0])
+        _, hhat = fourier_1d(h(t_nodes), 2.0 * r_max / n)
         g_samples = hhat / TWO_PI
         g0 = (lambda tn, gs: lambda t: np.interp(np.asarray(t, float), tn, gs))(
             t_nodes, g_samples)

@@ -23,6 +23,7 @@ SHIPPED = {
     "slicing.ini": 0,
     "rn-compare.ini": 0,
     "rn-counterexample.ini": 0,
+    "rn-counterexample-nonradial.ini": 0,
     "certify-pd.ini": 0,
     "certify-intersection.ini": 0,
     "certify-intersection-gaussian.ini": 2,   # Gaussian is not one; reported

@@ -8,14 +8,12 @@ Closed-form oracles:
 """
 
 import math
-import weakref
 
 import numpy as np
 import pytest
 import scipy.special
 
 from radoncomp.compare3d import (
-    _angular_cap_spectrum,
     _bump_profiles,
     construct_counterexample_radon,
     lp_norm_rn,
@@ -278,21 +276,44 @@ def test_counterexample_gaussian_p2(grid16):
     assert rep.chain["bump_center"] > 1.0 / math.sqrt(2.0)
 
 
+def _nonradial_psi(grid):
+    """e^{-r^2} + 0.3 r^2 e^{-1.2 r^2} P_2(z): smooth, non-negative, and
+    not radial."""
+    z = grid.nodes[:, 2]
+    return SeparableFunction([
+        (radial_profile(lambda r: np.exp(-r * r)),
+         SphericalFunction(grid, np.ones(grid.n_nodes), parity="even")),
+        (radial_profile(lambda r: r * r * np.exp(-1.2 * r * r)),
+         SphericalFunction(grid, 0.3 * (1.5 * z * z - 0.5), parity="even"))])
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_counterexample_nonradial(grid16, p):
+    # the bump is radial for every psi: its window comes from the
+    # direction-averaged ray measure, which goes negative for any integrable
+    # psi^{p-1}; every property is rechecked through public calls
+    psi = _nonradial_psi(grid16)
+    phi, rep = construct_counterexample_radon(psi, p)
+    assert rep.hypothesis_holds is False
+    assert phi.min_on_sample_grid() >= -1e-9
+    r_psi = radon_transform(psi)
+    scale = float(np.max(np.abs(r_psi.values)))
+    assert sinogram_dominates(radon_transform(phi), r_psi) >= -1e-9 * scale
+    assert lp_norm_rn(phi, p) > lp_norm_rn(psi, p)
+
+
 def _record_bessel_tables(monkeypatch):
-    """Shapes of the spherical_jn tables built through scipy.special, and
-    how many earlier ones were still alive as each was built."""
+    """Shapes of the spherical_jn tables built through scipy.special."""
     real = scipy.special.spherical_jn
-    tables, shapes, live_before = [], [], []
+    shapes = []
 
     def counting(k, x, *args, **kwargs):
         out = real(k, x, *args, **kwargs)
-        live_before.append(sum(ref() is not None for ref in tables))
-        tables.append(weakref.ref(out))
         shapes.append(out.shape)
         return out
 
     monkeypatch.setattr(scipy.special, "spherical_jn", counting)
-    return shapes, live_before
+    return shapes
 
 
 def test_counterexample_keeps_psi_r_max(grid16):
@@ -306,15 +327,10 @@ def test_counterexample_keeps_psi_r_max(grid16):
     assert lp_norm_rn(phi, 2.0) > lp_norm_rn(psi, 2.0)
 
 
-def _power6_cap(grid):
-    nu = np.array([0.3, -0.4, math.sqrt(0.75)])
-    return _angular_cap_spectrum(nu, grid, power=6)
-
-
 def test_bump_search_shares_bessel_tables(grid16, monkeypatch):
-    # the radial cap has only degree 0, which is the closed form
-    # -beta'(r) / (2 pi r): the 3 x 3 lattice search builds no Bessel table
-    shapes, live_before = _record_bessel_tables(monkeypatch)
+    # every bump is radial, with the closed form -beta'(r) / (2 pi r): neither
+    # the 3 x 3 lattice search nor any other lattice builds a Bessel table
+    shapes = _record_bessel_tables(monkeypatch)
     psi = gaussian(grid16)
     phi, rep = construct_counterexample_radon(psi, 2.0)
     assert shapes == []
@@ -322,51 +338,38 @@ def test_bump_search_shares_bessel_tables(grid16, monkeypatch):
     assert sinogram_dominates(radon_transform(phi),
                               radon_transform(psi)) >= -1e-9 * math.pi
     assert lp_norm_rn(phi, 2.0) > lp_norm_rn(psi, 2.0)
-    # a power-6 cap has degrees 0..12; with two distinct frequency grids
-    # (s_max 50 and 80) that is one table per grid and degree k >= 2, each
-    # freed before the next is built
-    _bump_profiles([(1.1, 0.4), (0.9, 0.4), (1.1, 0.25)], _power6_cap(grid16),
+    _bump_profiles([(1.1, 0.4), (0.9, 0.4), (1.1, 0.25), (12.0, 0.05)],
                    grid16, n_r=128)
-    assert shapes == [(128, 4096)] * 12
-    assert live_before == [0] * 12
+    assert shapes == []
 
 
-def _trapezoid_bump_reference(lattice, cap_spec, n_r):
-    """Per lattice point and cap degree, the trapezoid sum of
-    beta^(s) j_k(rs) s^2 over each point's own frequency grid."""
+def _trapezoid_bump_reference(lattice, n_r):
+    """Per lattice point, the trapezoid sum of beta^(s) j_0(rs) s^2 over
+    each point's own frequency grid."""
     r_vals = np.linspace(0.0, 16.0, n_r)
-    degrees = {int(cap_spec.degrees()[j])
-               for j in cap_spec.live_modes(even_only=True)}
     out = []
     for t0, sigma in lattice:
         s = np.linspace(0.0, max(20.0 / sigma, 4.0 * abs(t0), 40.0), 4096)
         bhat = 2.0 * sigma * math.sqrt(math.pi) * np.cos(s * t0) \
             * np.exp(-0.25 * (sigma * s) ** 2)
-        out.append({k: (-1.0) ** (k // 2) * np.trapezoid(
-            scipy.special.spherical_jn(k, np.outer(r_vals, s))
-            * (bhat * s * s)[None, :], s, axis=1) / (2.0 * math.pi ** 2)
-            for k in degrees})
+        out.append(np.trapezoid(
+            scipy.special.spherical_jn(0, np.outer(r_vals, s))
+            * (bhat * s * s)[None, :], s, axis=1) / (2.0 * math.pi ** 2))
     return out
 
 
-@pytest.mark.parametrize("lattice, cap", [
-    ([(t0, sigma) for t0 in (1.35, 1.15, 1.55) for sigma in (0.2, 0.13, 0.4)],
-     "radial"),
-    ([(0.0, 0.8), (0.5, 1.5), (2.0, 0.7)], "radial"),
-    ([(12.0, 0.3), (3.0, 0.05)], "radial"),
-    ([(1.1, 0.4), (0.9, 0.4), (1.1, 0.25)], "power-6"),
-])
-def test_bump_profiles_match_trapezoid_reference(grid16, lattice, cap):
-    spec = HarmonicSpectrum(0, np.array([math.sqrt(4.0 * math.pi)])) \
-        if cap == "radial" else _power6_cap(grid16)
-    ref = _trapezoid_bump_reference(lattice, spec, 128)
-    for h, want in zip(_bump_profiles(lattice, spec, grid16, n_r=128), ref):
-        (block,) = h.blocks                        # one row per cap degree
-        assert len(block.samples) == len(want)
-        for u, c in zip(block.samples, block.coeffs.T):
-            k = math.isqrt(int(np.flatnonzero(c)[-1]))    # the row's degree
-            assert np.all(c[:k * k] == 0.0)
-            assert np.max(np.abs(u - want[k])) <= 1e-13 * np.max(np.abs(want[k]))
+@pytest.mark.parametrize("lattice", [
+    [(t0, sigma) for t0 in (1.35, 1.15, 1.55) for sigma in (0.2, 0.13, 0.4)],
+    [(0.0, 0.8), (0.5, 1.5), (2.0, 0.7)],
+    [(12.0, 0.3), (3.0, 0.05)],
+], ids=["lattice0-radial", "lattice1-radial", "lattice2-radial"])
+def test_bump_profiles_match_trapezoid_reference(grid16, lattice):
+    ref = _trapezoid_bump_reference(lattice, 128)
+    for h, want in zip(_bump_profiles(lattice, grid16, n_r=128), ref):
+        (block,) = h.blocks                        # one degree-0 row
+        (u,) = block.samples
+        assert np.array_equal(block.coeffs, [[math.sqrt(4.0 * math.pi)]])
+        assert np.max(np.abs(u - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _as_terms(fn):
@@ -381,18 +384,16 @@ def _as_terms(fn):
         for u, c in zip(block.samples, block.coeffs.T)])
 
 
-@pytest.mark.parametrize("kind", ["fitted", "bump"])
+@pytest.mark.parametrize("kind", ["fitted"])
 def test_block_matches_one_term_per_row(grid16, kind):
-    if kind == "fitted":      # one row per live mode of degrees 0, 2 and 4
-        z = grid16.nodes @ np.array([0.3, -0.4, math.sqrt(0.75)])
-        fn = separable_power(SeparableFunction([
-            (radial_profile(lambda r: np.exp(-r * r)),
-             SphericalFunction(grid16, np.ones(grid16.n_nodes), parity="even")),
-            (radial_profile(lambda r: r * r * np.exp(-1.2 * r * r)),
-             SphericalFunction(grid16, 0.3 * (1.5 * z * z - 0.5),
-                               parity="even"))]), 2.0)
-    else:                     # one row per degree of a power-6 cap
-        (fn,) = _bump_profiles([(1.1, 0.4)], _power6_cap(grid16), grid16)
+    # one row per live mode of degrees 0, 2 and 4
+    z = grid16.nodes @ np.array([0.3, -0.4, math.sqrt(0.75)])
+    fn = separable_power(SeparableFunction([
+        (radial_profile(lambda r: np.exp(-r * r)),
+         SphericalFunction(grid16, np.ones(grid16.n_nodes), parity="even")),
+        (radial_profile(lambda r: r * r * np.exp(-1.2 * r * r)),
+         SphericalFunction(grid16, 0.3 * (1.5 * z * z - 0.5),
+                           parity="even"))]), 2.0)
     terms = _as_terms(fn)
     assert len(terms.blocks) == len(fn.blocks[0].samples) > 4
 
@@ -412,8 +413,7 @@ def test_block_matches_one_term_per_row(grid16, kind):
 
 def test_wide_bump_transform_is_beta(grid16):
     t0, sigma = 0.9, 0.8
-    spec = HarmonicSpectrum(0, np.array([math.sqrt(4.0 * math.pi)]))
-    (h,) = _bump_profiles([(t0, sigma)], spec, grid16)
+    (h,) = _bump_profiles([(t0, sigma)], grid16)
     t = symmetric_nodes()
     beta = np.exp(-((t - t0) / sigma) ** 2) + np.exp(-((t + t0) / sigma) ** 2)
     assert np.max(np.abs(radon_transform(h).values - beta[None, :])) \

@@ -344,6 +344,22 @@ def test_certify_erf_type_positive(grid16):
     assert cert.is_intersection_function
 
 
+def test_grid_spacing_is_two_r_over_n(grid16):
+    # at a non-dyadic r_max the rounded nodes give t[1] - t[0] = 2R/n
+    # - 3e-16 (9e-14 relative); the transforms use 2R/n itself, so the
+    # erf-type ray-profile transform stays within a few ulps of its closed form
+    r_max, n = 6.747, 4096
+    t = symmetric_nodes(n, r_max)
+    assert t[1] - t[0] != 2.0 * r_max / n
+    sino = radon_transform(gaussian(grid16), t=t)
+    assert sino.dt == 2.0 * r_max / n
+    entry = catalog_entry("erf-type", grid16, r_max=r_max, n=n)
+    cert = certify_intersection_function(entry.f, r_max=r_max, n=n)
+    omega, mhat = cert.per_direction[0].transform_data
+    ref = entry.mhat_eval(omega)
+    assert np.max(np.abs(mhat - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
 def test_certify_cauchy_ell_needs_tail_correction():
     grid = build_grid(16, 32)
     entry = catalog_entry("cauchy-ell", grid, r_max=256.0, n=32768)
