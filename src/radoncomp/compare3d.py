@@ -48,6 +48,7 @@ from .radon3d import (
     SeparableFunction,
     Sinogram,
     certify_intersection_function,
+    cubic_spline,
     hemisphere_indices,
     radon_transform,
     separable_power,
@@ -142,21 +143,15 @@ def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction):
 
 def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
                         weights: np.ndarray) -> float:
-    """PAIRING_CONSTANT * int_{S^2} int_R Rf(t, theta) mu_theta(t) dt dtheta."""
-    from scipy.interpolate import CubicSpline
-
-    total = 0.0
-    per_dir = cert.per_direction
-    radial_case = len(per_dir) == 1
-    for d in range(len(sino.directions)):
-        c = per_dir[0] if radial_case else per_dir[d]
-        omega, mhat = c.transform_data
-        spline = CubicSpline(sino.t, sino.values[d])
-        inside = (omega >= sino.t[0]) & (omega <= sino.t[-1])
-        vals = np.zeros_like(omega)
-        vals[inside] = spline(omega[inside])
-        total += weights[d] * np.trapezoid(vals * mhat, omega)
-    return PAIRING_CONSTANT * total
+    """PAIRING_CONSTANT * int_{S^2} int_R Rf(t, theta) mu_theta(t) dt dtheta,
+    with one spline over all rows, on the measures' one frequency grid."""
+    omega = cert.per_direction[0].transform_data[0]
+    mhat = np.array([c.transform_data[1] for c in cert.per_direction])
+    inside = (omega >= sino.t[0]) & (omega <= sino.t[-1])
+    vals = np.zeros((len(sino.values), len(omega)))
+    vals[:, inside] = cubic_spline(sino.t, sino.values)(omega[inside])
+    return PAIRING_CONSTANT * float(
+        weights @ np.trapezoid(vals * mhat, omega, axis=1))
 
 
 def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,

@@ -121,6 +121,121 @@ def inverse_fourier_1d(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------------
+# Splines, cumulative Simpson, j_k and erfc in NumPy and the standard library
+# (as sphere.legendre and sphere.erf), so that no scipy module loads
+# ----------------------------------------------------------------------------
+
+class _Cubic:
+    """Cubic Hermite interpolant through (x_i, y_i) with slopes dydx_i along
+    y's last axis: SciPy's CubicHermiteSpline, operation for operation."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, dydx: np.ndarray):
+        dx = np.diff(x)
+        slope = np.diff(y, axis=-1) / dx
+        t = (dydx[..., :-1] + dydx[..., 1:] - 2 * slope) / dx
+        self.x = x
+        self.c = (t / dx, (slope - dydx[..., :-1]) / dx - t, dydx[..., :-1],
+                  y[..., :-1])
+
+    def __call__(self, xq, nu: int = 0) -> np.ndarray:
+        """Values (nu = 0) or slopes (nu = 1) at xq: y.shape[:-1] + xq.shape."""
+        xq = np.asarray(xq, dtype=float)
+        i = np.clip(np.searchsorted(self.x, xq, "right") - 1, 0, len(self.x) - 2)
+        s = xq - self.x[i]
+        c0, c1, c2, c3 = (c[..., i] for c in self.c)
+        if nu:
+            return c2 + c1 * s * 2 + c0 * (s * s) * 3
+        return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
+def _thomas(lower: list, diag: list, upper: list, b: np.ndarray) -> np.ndarray:
+    """Tridiagonal solve along b's last axis, no pivoting: LAPACK gtsv's
+    operations when it swaps no rows.  One right-hand side sweeps as Python
+    floats, several as one NumPy row per step."""
+    rows, d = b.reshape(-1, b.shape[-1]), list(diag)
+    r = rows[0].tolist() if len(rows) == 1 else list(rows.T.copy())
+    for i in range(1, len(d)):
+        f = lower[i] / d[i - 1]
+        d[i] -= f * upper[i - 1]
+        r[i] = r[i] - f * r[i - 1]
+    r[-1] = r[-1] / d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        r[i] = (r[i] - upper[i] * r[i + 1]) / d[i]
+    return np.array(r).T.reshape(b.shape)
+
+
+def cubic_spline(x: np.ndarray, y: np.ndarray) -> _Cubic:
+    """SciPy's not-a-knot CubicSpline(x, y, axis=-1) for n >= 4 nodes: its
+    slope system, which gtsv solves without row swaps on uniform nodes."""
+    dx = np.diff(x)
+    slope = np.diff(y, axis=-1) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    b = np.empty(np.shape(y))
+    b[..., 1:-1] = 3 * (dx[1:] * slope[..., :-1] + dx[:-1] * slope[..., 1:])
+    b[..., 0] = ((dx[0] + 2 * d0) * dx[1] * slope[..., 0]
+                 + dx[0] ** 2 * slope[..., 1]) / d0
+    b[..., -1] = (dx[-1] ** 2 * slope[..., -2]
+                  + (2 * d1 + dx[-1]) * dx[-2] * slope[..., -1]) / d1
+    h = dx.tolist()
+    return _Cubic(x, y, _thomas([0.0, *h[1:], float(d1)],
+                                [h[1], *(2 * (dx[:-1] + dx[1:])).tolist(), h[-2]],
+                                [float(d0), *h[:-1], 0.0], b))
+
+
+def _cumulative_simpson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SciPy's cumulative_simpson(y, x=x, axis=-1, initial=0), operation for
+    operation: each cell from the parabola through it and the next node,
+    every second cell and the last one through the previous node."""
+    def first_cells(y, dx):
+        a, b = dx[:-1] / (dx[:-1] + dx[1:]), dx[:-1] / dx[1:]
+        return dx[:-1] / 6 * ((3 - a) * y[..., :-2] + (3 + a * b + a)
+                              * y[..., 1:-1] + -(a * b) * y[..., 2:])
+
+    dx = np.diff(x)
+    h1, h2 = first_cells(y, dx), first_cells(y[..., ::-1], dx[::-1])[..., ::-1]
+    cells = np.zeros(np.shape(y))
+    cells[..., 1:-1:2], cells[..., 2::2] = h1[..., ::2], h2[..., ::2]
+    cells[..., -1] = h2[..., -1]
+    return np.cumsum(cells, axis=-1)
+
+
+def _integral_spline(x: np.ndarray, y: np.ndarray,
+                     from_end: bool = False) -> _Cubic:
+    """Hermite cubic of int_{x_0}^{x} y, or of int_{x}^{x_end} y, through the
+    cumulative-Simpson node values."""
+    cum = _cumulative_simpson(x, y)
+    return _Cubic(x, cum[..., -1:] - cum, -y) if from_end else _Cubic(x, cum, y)
+
+
+def spherical_jn(k: int, x) -> np.ndarray:
+    """Spherical Bessel j_k(x) for x >= 0: where x > k SciPy's own upward
+    recurrence from sin(x)/x (the same bits), where x <= k, on which the
+    recurrence amplifies rounding, the power series
+    x^k / (2k+1)!! sum_m (-x^2/2)^m / (m! (2k+3)(2k+5)...(2k+2m+1))."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = np.sin(x) / x
+        if k > 0:
+            s0, s1 = s1, (s1 - np.cos(x)) / x
+        for i in range(k - 1):
+            s0, s1 = s1, (2 * i + 3) * s1 / x - s0
+    small = x <= k if k else x == 0.0
+    if np.any(small):
+        xs = x[small]
+        term = total = xs ** k / math.prod(range(1, 2 * k + 2, 2))
+        m = 1
+        while np.any(np.abs(term) > 1e-17 * np.abs(total)):
+            term = term * (-0.5 * xs * xs) / (m * (2 * k + 2 * m + 1))
+            total, m = total + term, m + 1
+        s1[small] = total
+    return s1
+
+
+# The complementary error function elementwise, float64: math.erfc on each value.
+erfc = np.vectorize(math.erfc, otypes=[float])
+
+
+# ----------------------------------------------------------------------------
 # Radial profiles and separable functions
 # ----------------------------------------------------------------------------
 
@@ -158,8 +273,7 @@ class RadialProfile:
             return np.asarray(self.evaluator(r), dtype=float)
         u, x = self.samples.reshape(-1, self.samples.shape[-1]), r.ravel()
         if self._spline is None and u.shape[1] >= 4 and np.all(np.isfinite(u)):
-            from scipy.interpolate import CubicSpline
-            self._spline = CubicSpline(self.r, u, axis=-1)
+            self._spline = cubic_spline(self.r, u)
         out = np.array([np.interp(x, self.r, row) for row in u]) \
             if self._spline is None else self._spline(np.clip(x, 0.0, self.r_max))
         right = 0.0 if self.decay == "schwartz" else u[:, -1:]
@@ -403,8 +517,6 @@ def mollified_ball(radius: float = 1.0, width: float = 1e-2,
                    r_max: float = DEFAULT_T_MAX,
                    n: int = 4 * DEFAULT_N) -> SeparableFunction:
     """Smoothed indicator of the centered ball: amplitude/2 * erfc((r-R)/w)."""
-    from scipy.special import erfc
-
     def u(r):
         return 0.5 * amplitude * erfc((np.asarray(r, float) - radius) / width)
 
@@ -504,15 +616,9 @@ class RayMeasure:
 def _radial_plane_integral(profile: RadialProfile, t_abs: np.ndarray) -> np.ndarray:
     """2 pi * integral_{|t|}^{R} u(s) s ds, Hermite-interpolated between
     nodes; one row (len(t_abs),) per profile row."""
-    from scipy.integrate import cumulative_simpson
-    from scipy.interpolate import CubicHermiteSpline
-
     s = profile.r
     su = s * np.atleast_2d(profile.samples)
-    cum = cumulative_simpson(su, x=s, axis=-1, initial=0.0)
-    tail = cum[:, -1:] - cum                   # int_{s_i}^{R}
-    spline = CubicHermiteSpline(s, tail, -su, axis=-1)
-    out = spline(np.clip(t_abs, 0.0, s[-1]))
+    out = _integral_spline(s, su, from_end=True)(np.clip(t_abs, 0.0, s[-1]))
     out[:, t_abs >= s[-1]] = 0.0
     return TWO_PI * out
 
@@ -683,8 +789,6 @@ def _bessel_tail_xjk(k: int, X: np.ndarray) -> np.ndarray:
     """
     if k == 0:
         return np.cos(X)
-    from scipy.special import spherical_jn
-
     tail = spherical_jn(0, X)            # int_X^inf j_1
     m = 2
     while m < k:
@@ -734,8 +838,6 @@ def _degree_radial_fourier(profile: RadialProfile, k: int,
     over a 32x grid extension, with a Euler-Maclaurin endpoint correction and
     the closed-form remaining tail (c/r^2) int_{rR}^inf x j_k(x) dx.
     """
-    from scipy.special import spherical_jn
-
     s_int, u_int = s, u = profile.r, np.atleast_2d(profile.samples)
     tail_c = u[:, -1] * s[-1] if profile.decay == "algebraic" \
         else np.zeros(len(u))
@@ -948,12 +1050,7 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     r_vals = np.linspace(0.0, r_max, n_r)
     if _rows_equal(g):
         # radial reduction: f(r) = (2 pi / r) * int_{-r}^{r} g0(s) ds
-        from scipy.integrate import cumulative_simpson
-        from scipy.interpolate import CubicHermiteSpline
-
-        g0 = g.values[0]
-        cum = cumulative_simpson(g0, x=g.t, initial=0.0)
-        spline = CubicHermiteSpline(g.t, cum, g0)
+        spline = _integral_spline(g.t, g.values[0])
         t_lo, t_hi = float(g.t[0]), float(g.t[-1])
 
         def f_eval(r):
@@ -970,13 +1067,11 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     # Per harmonic degree of the data (exact in theta for band-limited rows):
     #   int_{S^2} Y_k(theta) G(<x, theta>) dtheta
     #     = Y_k(x/|x|) * 2 pi int_{-1}^{1} G(|x| c) P_k(c) dc.
-    from scipy.interpolate import CubicSpline
-
     coeffs_t = analyze_rows(grid, _full_direction_rows(g, g.values), l_max)
     modes, deg = _live_modes(coeffs_t, l_max)
     c_nodes, c_w = gauss_legendre(200)
     t_eval = np.clip(np.outer(r_vals, c_nodes), g.t[0], g.t[-1])
-    g_modes = CubicSpline(g.t, coeffs_t[modes], axis=-1)(t_eval)  # (q, r, c)
+    g_modes = cubic_spline(g.t, coeffs_t[modes])(t_eval)  # (q, r, c)
     pk_w = c_w * legendre(deg[:, None], c_nodes)
     return _modal_function(grid, l_max, r_vals, "algebraic", modes,
                            TWO_PI * np.einsum("qrc,qc->qr", g_modes, pk_w))
@@ -1013,8 +1108,6 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
         directions = np.array([[0.0, 0.0, 1.0]])
         g_rows = g.values[:1]
     else:
-        from scipy.special import spherical_jn
-
         _require_quadrature(g)
         directions = g.directions
         # transform each data row, extend evenly, expand in harmonics

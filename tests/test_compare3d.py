@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from radoncomp import radon3d
 from radoncomp.compare3d import (
     _bump_profiles,
     construct_counterexample_radon,
@@ -303,16 +304,16 @@ def test_counterexample_nonradial(grid16, p):
 
 
 def _record_bessel_tables(monkeypatch):
-    """Shapes of the spherical_jn tables built through scipy.special."""
-    real = scipy.special.spherical_jn
+    """Shapes of the j_k tables built through radon3d.spherical_jn."""
+    real = radon3d.spherical_jn
     shapes = []
 
-    def counting(k, x, *args, **kwargs):
-        out = real(k, x, *args, **kwargs)
+    def counting(k, x):
+        out = real(k, x)
         shapes.append(out.shape)
         return out
 
-    monkeypatch.setattr(scipy.special, "spherical_jn", counting)
+    monkeypatch.setattr(radon3d, "spherical_jn", counting)
     return shapes
 
 
@@ -341,6 +342,11 @@ def test_bump_search_shares_bessel_tables(grid16, monkeypatch):
     _bump_profiles([(1.1, 0.4), (0.9, 0.4), (1.1, 0.25), (12.0, 0.05)],
                    grid16, n_r=128)
     assert shapes == []
+    # the recorder sees the tables that do get built: a degree-2 row's
+    # transform takes one j_2 table per block of 64 radii
+    fourier_along_rays(_nonradial_psi(grid16), grid16.nodes[:2],
+                       np.linspace(0.0, 4.0, 100))
+    assert len(shapes) == 2 and shapes[0][0] == 64
 
 
 def _trapezoid_bump_reference(lattice, n_r):

@@ -28,11 +28,14 @@ from radoncomp.radon3d import (
     RadialProfile,
     SeparableFunction,
     Sinogram,
+    _cumulative_simpson,
     _degree_plane_integral,
     catalog_entry,
     certify_intersection_function,
     classification_witness,
+    cubic_spline,
     dual_radon,
+    erfc,
     fourier_1d,
     fourier_along_ray,
     hemisphere_indices,
@@ -45,6 +48,7 @@ from radoncomp.radon3d import (
     ray_profile_samples,
     separable_power,
     separable_radial,
+    spherical_jn,
     symmetric_nodes,
 )
 from radoncomp.reports import validate_report
@@ -83,6 +87,72 @@ def test_fourier_1d_round_trip():
     _, spec = fourier_1d(vals, t[1] - t[0])
     back = inverse_fourier_1d(spec, t[1] - t[0])
     assert np.max(np.abs(back - vals)) < 1e-12
+
+
+# ----------------------------------------------------------------------------
+# NumPy splines, cumulative Simpson, j_k and erfc against SciPy and mpmath
+# ----------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 1025, 4096])
+@pytest.mark.parametrize("rows", [1, 3, 40])
+def test_cubic_spline_matches_scipy(n, rows):
+    from scipy.interpolate import CubicSpline
+
+    rng = np.random.default_rng(n * 100 + rows)
+    y = rng.standard_normal((rows, n))
+    for x in (np.linspace(-16.0, 16.0, n),                 # uniform
+              np.cumsum(rng.uniform(0.5, 1.5, n))):        # unequal cells
+        xq = np.concatenate([x, rng.uniform(x[0], x[-1], 300)])
+        got, want = cubic_spline(x, y), CubicSpline(x, y, axis=-1)
+        for nu in (0, 1):
+            scale = np.max(np.abs(want(xq, nu)))
+            assert np.max(np.abs(got(xq, nu) - want(xq, nu))) <= 1e-13 * scale
+        assert got(xq[:5]).shape == (rows, 5)
+    # one row given as a 1D array evaluates to xq's own shape
+    assert cubic_spline(x, y[0])(xq[-300:].reshape(2, 150)).shape == (2, 150)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 2048, 2049])
+def test_cumulative_simpson_bit_equal_to_scipy(n):
+    from scipy.integrate import cumulative_simpson
+
+    rng = np.random.default_rng(n)
+    x = symmetric_nodes(n, 16.0)
+    y = rng.standard_normal((2, n))
+    assert np.array_equal(_cumulative_simpson(x, y),
+                          cumulative_simpson(y, x=x, axis=-1, initial=0.0))
+
+
+def test_spherical_jn_matches_scipy_on_0_300():
+    from scipy.special import spherical_jn as scipy_jn
+
+    x = np.linspace(0.0, 300.0, 120001)
+    for k in range(13):
+        got, want = spherical_jn(k, x), scipy_jn(k, x)
+        # x > k: SciPy's own recurrence; x <= k: its Bessel-J call is the
+        # less accurate side (see the mpmath check below)
+        assert np.max(np.abs(got - want)[x > k], initial=0.0) <= 1e-15, k
+        assert np.max(np.abs(got - want)) <= 3e-15, k
+        assert got[0] == (1.0 if k == 0 else 0.0)
+    assert spherical_jn(2, np.ones((3, 4))).shape == (3, 4)
+
+
+def test_spherical_jn_matches_mpmath_near_x_equals_k():
+    import mpmath
+
+    with mpmath.workdps(40):
+        for k in range(1, 13):
+            x = np.linspace(max(k - 3.0, 0.05), k + 0.5, 41)
+            ref = np.array([float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(v)))
+                                  * mpmath.besselj(k + 0.5, mpmath.mpf(v)))
+                            for v in x])
+            assert np.max(np.abs(spherical_jn(k, x) - ref)) <= 6e-16, k
+
+
+def test_erfc_is_math_erfc_elementwise():
+    x = np.linspace(-6.0, 30.0, 1001).reshape(7, -1)
+    assert np.array_equal(erfc(x), np.vectorize(math.erfc)(x))
+    assert erfc(x).dtype == float
 
 
 # ----------------------------------------------------------------------------
