@@ -422,10 +422,13 @@ def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
 
 def check_angular_even(ast: ExprAst, tol: float = 1e-10,
                        n_samples: int = 64) -> None:
-    """Reject angular expressions without antipodal symmetry, by sampling."""
-    rng = np.random.default_rng(20240317)
-    v = rng.standard_normal((n_samples, 3))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    """Reject angular expressions without antipodal symmetry, by sampling at
+    a golden-angle spiral of n_samples directions (it holds no antipodal
+    pair, so odd terms cannot cancel in pairs)."""
+    i = np.arange(n_samples) + 0.5
+    z, phi = 1.0 - 2.0 * i / n_samples, math.pi * (3.0 - math.sqrt(5.0)) * i
+    rho = np.sqrt(1.0 - z * z)
+    v = np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=1)
     plus = evaluate(ast, angular_context(v[:, 0], v[:, 1], v[:, 2]))
     minus = evaluate(ast, angular_context(-v[:, 0], -v[:, 1], -v[:, 2]))
     resid = float(np.max(np.abs(plus - minus)))

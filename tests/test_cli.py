@@ -88,29 +88,64 @@ def test_csv_outputs_written(tmp_path):
     assert (out / "sinogram_psi.csv").exists()
 
 
-def test_cli_import_and_s2_catalog_runs_load_no_scipy(tmp_path):
-    # S^2 and catalog runs need only elementary special functions, so neither
-    # the import nor such a run pays for loading any scipy module
+def _loaded_after(code, args=()):
+    """Run code in a fresh interpreter on this checkout's src; its stdout
+    lines."""
     src = str(Path(radoncomp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = (
-        "import sys\n"
+    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+# prints the loaded scipy and numpy.random modules
+_LOADED = (
+    "import sys\n"
+    "def loaded():\n"
+    "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+    "                 or m.split('.')[:2] == ['numpy', 'random']))\n")
+
+
+def test_cli_import_and_shipped_configs_load_no_scipy_or_numpy_random(tmp_path):
+    # the special functions, splines and quadratures are NumPy and standard
+    # library code, and the evenness check samples fixed directions, so
+    # neither the import nor any shipped run loads scipy or numpy.random
+    code = _LOADED + (
         "from radoncomp.cli import main\n"
-        "def loaded():\n"
-        "    print(sorted(m for m in sys.modules\n"
-        "                 if m == 'scipy' or m.startswith('scipy.')))\n"
         "loaded()\n"
-        "for kind, config, out in zip(*[iter(sys.argv[1:])] * 3):\n"
-        "    assert main([kind, '--config', config, '--out', out]) == 0\n"
+        "for kind, config, out, code in zip(*[iter(sys.argv[1:])] * 4):\n"
+        "    assert main([kind, '--config', config, '--out', out]) == int(code)\n"
         "    loaded()\n")
     args = []
-    for name in ("certify-pd.ini", "catalog-verify.ini"):
-        args += [kind_of(name), str(CONFIG_DIR / name), str(tmp_path / name)]
-    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["[]"] * 3
+    for name, expected in sorted(SHIPPED.items()):
+        args += [kind_of(name), str(CONFIG_DIR / name), str(tmp_path / name),
+                 str(expected)]
+    assert _loaded_after(code, args) == ["[]"] * (1 + len(SHIPPED))
+
+
+def test_r3_library_calls_load_no_scipy_or_numpy_random():
+    # the benchmark's R^3 warm-up (a non-radial radon_transform and
+    # certification), the mollified ball and both branches of dual_radon
+    code = _LOADED + (
+        "import numpy as np\n"
+        "import radoncomp as rc\n"
+        "from radoncomp.radon3d import radial_profile\n"
+        "grid = rc.build_grid(16, 32)\n"
+        "z = grid.nodes[:, 2]\n"
+        "f = rc.SeparableFunction([\n"
+        "    (radial_profile(lambda r: np.exp(-r * r)),\n"
+        "     rc.SphericalFunction(grid, np.ones(grid.n_nodes), parity='even')),\n"
+        "    (radial_profile(lambda r: r * r * np.exp(-1.2 * r * r)),\n"
+        "     rc.SphericalFunction(grid, 0.3 * (1.5 * z * z - 0.5),\n"
+        "                          parity='even'))])\n"
+        "rc.dual_radon(rc.radon_transform(f))\n"
+        "rc.certify_intersection_function(f)\n"
+        "ball = rc.mollified_ball(grid=grid)\n"
+        "rc.dual_radon(rc.radon_transform(ball))\n"
+        "loaded()\n")
+    assert _loaded_after(code) == ["[]"]
 
 
 def test_seed_key_is_echoed_not_read(tmp_path):

@@ -218,3 +218,15 @@ def test_odd_expression_rejected():
         check_angular_even(parse_expr("1 + 0.5 * z"))
     with pytest.raises(InputInvalid):
         check_angular_even(parse_expr("x * y * z"))
+    for odd in ("x", "y", "z + z ^ 3", "x ^ 3 * y ^ 2", "1 + 1e-6 * x * y * z"):
+        with pytest.raises(InputInvalid):
+            check_angular_even(parse_expr(odd))
+
+
+def test_evenness_check_needs_no_random_numbers(monkeypatch):
+    # the sample directions are fixed: the check neither draws from
+    # numpy.random nor depends on a seed, and gives the same verdicts
+    monkeypatch.setattr(np.random, "default_rng", None)
+    check_angular_even(parse_expr("x ^ 2 + y * z"))
+    with pytest.raises(InputInvalid):
+        check_angular_even(parse_expr("z + z ^ 3"))

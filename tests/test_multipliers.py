@@ -135,6 +135,23 @@ def test_multiplier_matches_gammaln_form():
             assert math.isclose(multiplier(3, k, p), ref, rel_tol=1e-12), (k, p)
 
 
+def test_multiplier_table_matches_mpmath_to_k_512():
+    # the table steps lambda(k+2) = -lambda(k) (k+3-p)/(k+p) from k = 0, a
+    # few roundings per step; exp of the log-Gamma difference is off by
+    # about 1e-13 near k = 256
+    import mpmath
+
+    with mpmath.workdps(40):
+        for p in (0.25, 0.5, 1.0, 1.3, 1.5, 2.0, 2.75, 2.999):
+            table, q = multiplier_table(3, 512, p), mpmath.mpf(p)
+            for k in range(0, 513, 2):
+                ref = (-1) ** (k // 2) * mpmath.pi ** 1.5 * 2 ** (3 - q) \
+                    * mpmath.gamma((k + 3 - q) / 2) / mpmath.gamma((k + q) / 2)
+                assert abs(table[k] - ref) <= (2e-15 + 4e-17 * k) * abs(ref), \
+                    (k, p)
+            assert not np.any(table[1::2])
+
+
 def test_section_identity_lambda_at_p2():
     # lambda(3, k, 2) = pi * (2 pi P_k(0)) for even k
     for k in range(0, 66, 2):
