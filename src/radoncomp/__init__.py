@@ -4,6 +4,7 @@ positive-definiteness and intersection-function certification, norm
 comparison under transform domination, and counterexample construction.
 """
 
+__version__ = "0.1.0"  # before the submodules: reports reads it
 from .errors import (
     ArityError,
     BandwidthExceeded,
@@ -101,5 +102,3 @@ from .exprlang import (
 )
 from .config import ScenarioConfig, load_config
 from .reports import emit_report, report_schema, validate_report
-
-__version__ = "0.1.0"

@@ -4,12 +4,14 @@ except for the timing block."""
 
 from __future__ import annotations
 
+import functools
 import json
-from importlib import metadata, resources
+import numbers
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .sphere import SphericalFunction
 
 __all__ = [
@@ -19,15 +21,60 @@ __all__ = [
 
 
 def report_schema() -> dict:
-    with resources.files("radoncomp.schemas").joinpath(
-            "report.schema.json").open("r", encoding="utf-8") as fh:
+    path = Path(__file__).with_name("schemas") / "report.schema.json"
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
-def validate_report(report: dict) -> None:
-    import jsonschema
+_checked_schema = functools.cache(report_schema)
 
-    jsonschema.validate(report, report_schema())
+# jsonschema's Draft 2020-12 type rules
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "number": lambda v: (isinstance(v, numbers.Number)
+                         and not isinstance(v, bool)),
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()),
+}
+_KEYWORDS = {"$schema", "$id", "title", "type", "required", "properties",
+             "additionalProperties", "items", "anyOf"}
+
+
+def _conforms(value, schema) -> bool:
+    """True when ``value`` meets ``schema``; False when it does not, or when
+    the schema uses a keyword outside ``_KEYWORDS``."""
+    if isinstance(schema, bool):
+        return schema
+    if not schema.keys() <= _KEYWORDS:
+        return False
+    kind = schema.get("type")
+    if kind is not None and not (isinstance(kind, str) and kind in _TYPES
+                                 and _TYPES[kind](value)):
+        return False
+    if not any(_conforms(value, s) for s in schema.get("anyOf", [True])):
+        return False
+    if isinstance(value, list) and "items" in schema:
+        return all(_conforms(v, schema["items"]) for v in value)
+    if not isinstance(value, dict):
+        return True
+    props = schema.get("properties", {})
+    extra = schema.get("additionalProperties", True)
+    return all(k in value for k in schema.get("required", ())) and all(
+        _conforms(v, props[k] if k in props else extra)
+        for k, v in value.items())
+
+
+def validate_report(report: dict) -> None:
+    """Check ``report`` against report.schema.json; a report the walk does
+    not accept goes to jsonschema, which raises its ``ValidationError``."""
+    if not _conforms(report, _checked_schema()):
+        import jsonschema
+
+        jsonschema.validate(report, _checked_schema())
 
 
 def _jsonable(obj):
@@ -44,13 +91,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
-
-
-def _library_version() -> str:
-    try:
-        return metadata.version("radoncomp")
-    except metadata.PackageNotFoundError:
-        return "unknown"
 
 
 def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
@@ -78,7 +118,7 @@ def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
     manifest = {
         "scenario": scenario,
         "config": _jsonable(raw_config or {}),
-        "library_version": _library_version(),
+        "library_version": __version__,
         "wall_seconds": float(wall_seconds),
     }
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:

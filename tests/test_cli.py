@@ -100,29 +100,39 @@ def _loaded_after(code, args=()):
     return run.stdout.splitlines()
 
 
-# prints the loaded scipy and numpy.random modules
+# prints the loaded scipy, numpy.random, jsonschema and importlib.metadata
+# modules
 _LOADED = (
     "import sys\n"
     "def loaded():\n"
-    "    print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-    "                 or m.split('.')[:2] == ['numpy', 'random']))\n")
+    "    print(sorted(m for m in sys.modules\n"
+    "                 if m.split('.')[0] in ('scipy', 'jsonschema')\n"
+    "                 or m.split('.')[:2] in (['numpy', 'random'],\n"
+    "                                         ['importlib', 'metadata'])))\n")
 
 
-def test_cli_import_and_shipped_configs_load_no_scipy_or_numpy_random(tmp_path):
+def test_cli_runs_load_no_scipy_numpy_random_jsonschema_or_metadata(tmp_path):
     # the special functions, splines and quadratures are NumPy and standard
-    # library code, and the evenness check samples fixed directions, so
-    # neither the import nor any shipped run loads scipy or numpy.random
+    # library code, the evenness check samples fixed directions, a valid
+    # report passes the schema walk without jsonschema, and the manifest
+    # takes radoncomp.__version__: neither the import, nor any shipped run,
+    # nor --emit-schema loads any of those modules
     code = _LOADED + (
+        "import contextlib, io\n"
         "from radoncomp.cli import main\n"
         "loaded()\n"
         "for kind, config, out, code in zip(*[iter(sys.argv[1:])] * 4):\n"
         "    assert main([kind, '--config', config, '--out', out]) == int(code)\n"
-        "    loaded()\n")
+        "    loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as schema:\n"
+        "    assert main(['--emit-schema']) == 0\n"
+        "assert schema.getvalue().startswith('{')\n"
+        "loaded()\n")
     args = []
     for name, expected in sorted(SHIPPED.items()):
         args += [kind_of(name), str(CONFIG_DIR / name), str(tmp_path / name),
                  str(expected)]
-    assert _loaded_after(code, args) == ["[]"] * (1 + len(SHIPPED))
+    assert _loaded_after(code, args) == ["[]"] * (2 + len(SHIPPED))
 
 
 def test_r3_library_calls_load_no_scipy_or_numpy_random():
