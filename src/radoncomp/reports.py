@@ -26,6 +26,7 @@ def report_schema() -> dict:
         return json.load(fh)
 
 
+# read once per process, used only here; report_schema() stays a fresh dict
 _checked_schema = functools.cache(report_schema)
 
 # jsonschema's Draft 2020-12 type rules
