@@ -4,6 +4,8 @@ positive-definiteness and intersection-function certification, norm
 comparison under transform domination, and counterexample construction.
 """
 
+import importlib
+
 __version__ = "0.1.0"  # before the submodules: reports reads it
 from .errors import (
     ArityError,
@@ -60,37 +62,6 @@ from .funk import (
     sradon_spectral,
     verify_comparison_spherical,
 )
-from .radon3d import (
-    CATALOG_NAMES,
-    PAIRING_CONSTANT,
-    RELATION_CONSTANT,
-    IntersectionCertificate,
-    RadialProfile,
-    RayMeasure,
-    SeparableFunction,
-    Sinogram,
-    catalog_entry,
-    certify_intersection_function,
-    classification_witness,
-    dual_radon,
-    fourier_1d,
-    fourier_along_ray,
-    intersection_function_of,
-    inverse_fourier_1d,
-    mollified_ball,
-    radon_direct_point,
-    radon_transform,
-    separable_power,
-    separable_radial,
-    symmetric_nodes,
-)
-from .compare3d import (
-    RnComparisonReport,
-    construct_counterexample_radon,
-    lp_norm_rn,
-    sinogram_dominates,
-    verify_comparison_radon,
-)
 from .exprlang import (
     angular_context,
     check_angular_even,
@@ -102,3 +73,32 @@ from .exprlang import (
 )
 from .config import ScenarioConfig, load_config
 from .reports import emit_report, report_schema, validate_report
+
+# The R^3 names resolve from their module on first use (PEP 562), so S^2
+# runs never import radon3d or compare3d.  Nothing is stored here: every
+# lookup returns the module's current binding.
+_LAZY = {
+    "radon3d": (
+        "CATALOG_NAMES", "PAIRING_CONSTANT", "RELATION_CONSTANT",
+        "IntersectionCertificate", "RadialProfile", "RayMeasure",
+        "SeparableFunction", "Sinogram", "catalog_entry",
+        "certify_intersection_function", "classification_witness",
+        "dual_radon", "fourier_1d", "fourier_along_ray",
+        "intersection_function_of", "inverse_fourier_1d", "mollified_ball",
+        "radon_direct_point", "radon_transform", "separable_power",
+        "separable_radial", "symmetric_nodes",
+    ),
+    "compare3d": (
+        "RnComparisonReport", "construct_counterexample_radon", "lp_norm_rn",
+        "sinogram_dominates", "verify_comparison_radon",
+    ),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _HOME:
+        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

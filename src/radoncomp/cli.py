@@ -7,7 +7,8 @@
 Subcommands mirror the scenario kinds.  Exit codes: 0 conclusion verified /
 construction succeeded; 2 hypothesis failed (report written); 3 domination
 failed; 4 construction failed; 1 input error.  Reports are byte-reproducible
-across reruns except for the timing block.
+across reruns except for the timing block.  The R^3 runners import radon3d
+and compare3d themselves, so an S^2 run never loads them.
 """
 
 from __future__ import annotations
@@ -39,20 +40,6 @@ from .funk import (
     verify_comparison_spherical,
 )
 from .multipliers import certify_pd_r1
-from .compare3d import (
-    construct_counterexample_radon,
-    verify_comparison_radon,
-)
-from .radon3d import (
-    RadialProfile,
-    SeparableFunction,
-    catalog_entry,
-    certify_intersection_function,
-    fourier_1d,
-    ray_profile_samples,
-    separable_radial,
-    symmetric_nodes,
-)
 from .reports import (
     emit_report,
     report_schema,
@@ -85,7 +72,9 @@ def _angular_fn(cfg: ScenarioConfig, name: str, grid) -> SphericalFunction:
     return SphericalFunction(grid, vals, parity="even")
 
 
-def _separable_fn(cfg: ScenarioConfig, prefix: str, grid) -> SeparableFunction:
+def _separable_fn(cfg: ScenarioConfig, prefix: str, grid):
+    from .radon3d import RadialProfile, SeparableFunction, separable_radial
+
     ast = cfg.asts[f"{prefix}_radial"]
     radial_eval = (lambda r: np.broadcast_to(
         np.asarray(evaluate(ast, radial_context(np.asarray(r, float))),
@@ -156,6 +145,8 @@ def _run_slicing(cfg, out, scale):
 
 
 def _run_rn_compare(cfg, out, scale):
+    from .compare3d import verify_comparison_radon
+
     grid = _grid(cfg)
     phi = _separable_fn(cfg, "phi", grid)
     psi = _separable_fn(cfg, "psi", grid)
@@ -177,6 +168,8 @@ def _run_rn_compare(cfg, out, scale):
 
 
 def _run_rn_counterexample(cfg, out, scale):
+    from .compare3d import construct_counterexample_radon
+
     grid = _grid(cfg)
     psi = _separable_fn(cfg, "psi", grid)
     phi, rep = construct_counterexample_radon(
@@ -210,6 +203,8 @@ def _run_certify_pd(cfg, out, scale):
 
 
 def _run_certify_intersection(cfg, out, scale):
+    from .radon3d import catalog_entry, certify_intersection_function
+
     grid = _grid(cfg)
     if cfg.catalog:
         f = catalog_entry(cfg.catalog, grid, r_max=cfg.r_max, n=cfg.n_t).f
@@ -247,6 +242,8 @@ def _run_intersection_body(cfg, out, scale):
 
 
 def _run_catalog_verify(cfg, out, scale):
+    from .radon3d import catalog_entry, fourier_1d, ray_profile_samples, symmetric_nodes
+
     grid = _grid(cfg)
     entry = catalog_entry(cfg.catalog, grid, r_max=cfg.r_max, n=cfg.n_t)
     c8 = 8.0 * math.pi ** 2

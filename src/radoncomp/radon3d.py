@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -572,7 +573,7 @@ class Sinogram:
                     f"# t_max,{float(-self.t[0])!r}\n# dt,{self.dt!r}\n"
                     f"# n_t,{len(self.t)}\n"
                     "# columns: dir_x,dir_y,dir_z,values...\n",
-                    np.hstack([self.directions, self.values]))
+                    self.values, lead=self.directions)
 
     @staticmethod
     def from_csv(path: str) -> "Sinogram":
@@ -742,6 +743,28 @@ def radon_direct_point(phi: SeparableFunction, t: float, theta: np.ndarray,
 # Fourier along rays
 # ----------------------------------------------------------------------------
 
+# Kernel tables kept at once: the sine table and the j_k tables of a few
+# degrees on one grid.  At the default grid each table is 16.8 MB.
+_KERNEL_TABLES = 4
+
+
+@lru_cache(maxsize=_KERNEL_TABLES)
+def _kernel_table(k: int, r: bytes, s: bytes) -> np.ndarray:
+    """sin(r s) for k = 0, j_k(r s) otherwise, on the outer product of the
+    float64 grids given by their bytes: (len(r), len(s)), built once per
+    process in blocks of 64 rows, which bound the temporaries.
+
+    The table is shared by every caller and therefore read-only.
+    """
+    r, s = np.frombuffer(r), np.frombuffer(s)
+    table = np.empty((len(r), len(s)))
+    for lo in range(0, len(r), 64):
+        x = np.outer(r[lo:lo + 64], s)
+        table[lo:lo + 64] = np.sin(x) if k == 0 else spherical_jn(k, x)
+    table.flags.writeable = False
+    return table
+
+
 def _radial_fourier(profile: RadialProfile, r_vals: np.ndarray) -> np.ndarray:
     """(4 pi / r) integral_0^R s u(s) sin(rs) ds with singular-origin care;
     one row (len(r_vals),) per profile row."""
@@ -749,18 +772,19 @@ def _radial_fourier(profile: RadialProfile, r_vals: np.ndarray) -> np.ndarray:
     singular = ~np.isfinite(u[:, 0])
     with np.errstate(invalid="ignore"):
         w = s * u
-    w[singular, 0] = 0.0    # placeholder; the integrand column is rebuilt below
+    w[singular, 0] = 0.0    # placeholder; the origin term is rebuilt below
     r_vals = np.asarray(r_vals, dtype=float)
     out = np.zeros((len(u), len(r_vals)))
     nz = r_vals != 0.0
     if np.any(nz):
         rr = r_vals[nz]
-        integ = np.sin(np.outer(rr, s)) * w[:, None, :]
+        sines = _kernel_table(0, rr.tobytes(), s.tobytes())
+        tw = _trapezoid_weights(s)
+        vals = (w * tw) @ sines.T
         # u ~ c/s^2 at the origin: s u(s) sin(rs) has a finite limit and is
-        # even in s; extrapolate quadratically in s^2
-        integ[singular, :, 0] = 1.5 * integ[singular, :, 1] \
-            - 0.6 * integ[singular, :, 2] + 0.1 * integ[singular, :, 3]
-        vals = np.trapezoid(integ, s, axis=-1)
+        # even in s; extrapolate its origin column quadratically in s^2
+        vals[singular] += (tw[0] * w[singular, 1:4] * [1.5, -0.6, 0.1]) \
+            @ sines[:, 1:4].T
         ds = s[1] - s[0]
         wp_end = ((3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3]) / (2.0 * ds))[:, None]
         # Euler-Maclaurin endpoint correction for the trapezoid rule on
@@ -834,41 +858,46 @@ def _degree_radial_fourier(profile: RadialProfile, k: int,
     """int u(s) j_k(rs) s^2 ds for the degree-k Fourier expansion; one row
     (len(r_vals),) per profile row.
 
-    Algebraic rows are continued with a fitted c/s + d/s^3 + e/s^5 tail
-    over a 32x grid extension, with a Euler-Maclaurin endpoint correction and
-    the closed-form remaining tail (c/r^2) int_{rR}^inf x j_k(x) dx.
+    Rows that end at 0 are one product against the cached j_k table.
+    Algebraic rows that do not are continued with a fitted
+    c/s + d/s^3 + e/s^5 tail over a 32x grid extension, with a Euler-Maclaurin
+    endpoint correction and the closed-form remaining tail
+    (c/r^2) int_{rR}^inf x j_k(x) dx; their j_k blocks are built per call.
     """
-    s_int, u_int = s, u = profile.r, np.atleast_2d(profile.samples)
-    tail_c = u[:, -1] * s[-1] if profile.decay == "algebraic" \
-        else np.zeros(len(u))
-    tailed = np.any(tail_c != 0.0)
-    if tailed:
-        ds = s[1] - s[0]
-        basis = lambda x: np.stack([1.0 / x, 1.0 / x ** 3, 1.0 / x ** 5])
-        fit = np.linalg.lstsq(basis(s[-len(s) // 4:]).T, u[:, -len(s) // 4:].T,
-                              rcond=None)[0] * (tail_c != 0.0)  # 0-ended rows stay so
-        tail_c = fit[0]
-        s_ext = s[-1] + ds * np.arange(1, int(31.0 * len(s)) + 1)
-        s_int = np.concatenate([s, s_ext])
-        u_int = np.hstack([u, fit.T @ basis(s_ext)])
-    w = u_int * s_int * s_int
-    ww = w * _trapezoid_weights(s_int)
+    s, u = profile.r, np.atleast_2d(profile.samples)
+    r_vals = np.asarray(r_vals, dtype=float)
+    # j_k(0) = 0 for k >= 1 and u s^2 stays finite, so the s = 0 term is 0
+    # even where u(0) is infinite
+    w = np.zeros_like(u)
+    w[:, 1:] = u[:, 1:] * s[1:] * s[1:]
+    tailed = u[:, -1] != 0.0 if profile.decay == "algebraic" \
+        else np.zeros(len(u), dtype=bool)
     radial = np.empty((len(u), len(r_vals)))
+    if not np.all(tailed):
+        jk = _kernel_table(k, r_vals.tobytes(), s.tobytes())
+        radial[~tailed] = (w[~tailed] * _trapezoid_weights(s)) @ jk.T
+    if not np.any(tailed):
+        return radial
+    u, w, ds = u[tailed], w[tailed], s[1] - s[0]
+    basis = lambda x: np.stack([1.0 / x, 1.0 / x ** 3, 1.0 / x ** 5])
+    fit = np.linalg.lstsq(basis(s[-len(s) // 4:]).T, u[:, -len(s) // 4:].T,
+                          rcond=None)[0]
+    s_ext = s[-1] + ds * np.arange(1, int(31.0 * len(s)) + 1)
+    s_int = np.concatenate([s, s_ext])
+    w = np.hstack([w, (fit.T @ basis(s_ext)) * s_ext * s_ext])
+    ww = w * _trapezoid_weights(s_int)
     for lo in range(0, len(r_vals), 64):          # bound the Bessel matrix
         rr = r_vals[lo:lo + 64]
         jk = spherical_jn(k, np.outer(rr, s_int))
         part = ww @ jk.T
-        if tailed:
-            # endpoint correction: the integrand keeps amplitude ~ c/r at the
-            # far end (the origin end vanishes)
-            ds = s_int[1] - s_int[0]
-            end = jk[:, -3:] * w[:, None, -3:]
-            part -= (ds / 24.0) * (3.0 * end[..., 2] - 4.0 * end[..., 1]
-                                   + end[..., 0])
-            nz = rr > 0.0
-            part[:, nz] += np.outer(tail_c, _bessel_tail_xjk(k, rr[nz] * s_int[-1])
-                                    / rr[nz] ** 2)
-        radial[:, lo:lo + 64] = part
+        # endpoint correction: the integrand keeps amplitude ~ c/r at the
+        # far end (the origin end vanishes)
+        end = jk[:, -3:] * w[:, None, -3:]
+        part -= (ds / 24.0) * (3.0 * end[..., 2] - 4.0 * end[..., 1] + end[..., 0])
+        nz = rr > 0.0
+        part[:, nz] += np.outer(fit[0], _bessel_tail_xjk(k, rr[nz] * s_int[-1])
+                                / rr[nz] ** 2)
+        radial[tailed, lo:lo + 64] = part
     return radial
 
 
@@ -946,6 +975,9 @@ def certify_intersection_function(f: SeparableFunction,
         directions = f.grid.nodes[idx]
         dir_source = "hemisphere"
     r_nodes, m = ray_profile_samples(f, directions, r_max, n)
+    if not np.all(np.isfinite(m)):
+        raise InputInvalid("the ray profile r^2 f^(r theta) has non-finite "
+                           "values; no certificate is given")
     dt = 2.0 * r_max / n
     peak = np.max(np.abs(m), axis=1)
     tail = np.max(np.abs(m[:, [0, 1, -1]]), axis=1)

@@ -128,22 +128,29 @@ def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
     return report
 
 
-def write_table(path: str | Path, header: str, table) -> None:
-    """Write ``header``, then one comma-separated line per row of ``table``
-    with every cell as ``repr(float)``.
+def write_table(path: str | Path, header: str, table, lead=None) -> None:
+    """Write ``header``, then one comma-separated line per row of ``table``,
+    after the same row of ``lead`` when given, with every cell as
+    ``repr(float)``.
 
-    Each distinct value is formatted once: values are told apart by bit
-    pattern, so -0.0 stays -0.0, and rows are joined one at a time, so no
-    string array of the whole table is ever built.
+    The cells of ``table`` are formatted once per distinct row, told apart
+    by bit pattern (so -0.0 stays -0.0), and the file is written row by row:
+    only the text of the distinct rows is held.  A sinogram passes its
+    directions as ``lead``, so a radial one formats its values once.
     """
     table = np.ascontiguousarray(table, dtype=float)
-    bits, index = np.unique(table.view(np.uint64), return_inverse=True)
-    cells = [repr(v) for v in bits.view(float).tolist()]
+    prefix = [""] * len(table) if lead is None else \
+        [",".join(map(repr, row)) + "," for row in np.asarray(lead, float).tolist()]
+    lines = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for row in index.reshape(table.shape):
-            fh.write(",".join(map(cells.__getitem__, row.tolist())))
-            fh.write("\n")
+        for pre, row in zip(prefix, table):
+            key = row.tobytes()
+            line = lines.get(key)
+            if line is None:
+                line = lines[key] = ",".join(map(repr, row.tolist())) + "\n"
+            fh.write(pre)
+            fh.write(line)
 
 
 def write_sphere_csv(path: str | Path, f: SphericalFunction) -> None:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import radoncomp
@@ -158,6 +159,45 @@ def test_r3_library_calls_load_no_scipy_or_numpy_random():
     assert _loaded_after(code) == ["[]"]
 
 
+def test_s2_runs_load_no_r3_modules(tmp_path):
+    # radoncomp exports the R^3 names lazily and the CLI imports radon3d and
+    # compare3d in its R^3 runners only; the names still resolve on use
+    code = (
+        "import sys\n"
+        "from radoncomp.cli import main\n"
+        "r3 = ('radoncomp.radon3d', 'radoncomp.compare3d')\n"
+        "for kind, config, out, code in zip(*[iter(sys.argv[1:])] * 4):\n"
+        "    assert main([kind, '--config', config, '--out', out]) == int(code)\n"
+        "print(sorted(m for m in sys.modules if m in r3))\n"
+        "import radoncomp as rc\n"
+        "print(rc.radon3d.radial_profile.__module__, rc.lp_norm_rn.__module__)\n"
+        "print(sorted(m for m in sys.modules if m in r3))\n")
+    args = []
+    for name, expected in sorted(SHIPPED.items()):
+        if not name.startswith(("rn-", "certify-intersection", "catalog")):
+            args += [kind_of(name), str(CONFIG_DIR / name),
+                     str(tmp_path / name), str(expected)]
+    assert len(args) == 4 * 5
+    assert _loaded_after(code, args) == [
+        "[]", "radoncomp.radon3d radoncomp.compare3d",
+        "['radoncomp.compare3d', 'radoncomp.radon3d']"]
+
+
+def test_lazy_exports_follow_the_module(monkeypatch):
+    # nothing is cached in the package: a rebinding in radon3d (as a tracer
+    # makes) shows through radoncomp.<name>, and undoing it shows too
+    from radoncomp import radon3d
+
+    original = radon3d.certify_intersection_function
+    monkeypatch.setattr(radon3d, "certify_intersection_function", len)
+    assert radoncomp.certify_intersection_function is len
+    monkeypatch.undo()
+    assert radoncomp.certify_intersection_function is original
+    assert "certify_intersection_function" not in vars(radoncomp)
+    with pytest.raises(AttributeError):
+        radoncomp.no_such_name
+
+
 def test_seed_key_is_echoed_not_read(tmp_path):
     cfg = tmp_path / "seeded.ini"
     cfg.write_text((CONFIG_DIR / "certify-pd.ini").read_text()
@@ -251,6 +291,22 @@ def test_infinite_origin_profile_is_input_error(tmp_path):
         "[output]\ndir = out\n")
     assert main(["rn-compare", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+def test_singular_degree2_origin_is_input_error(tmp_path):
+    # e^{-r^2}/r^2 (1 + 0.1 P_2(z)): its ray profile grows like r, so the
+    # certificate is refused; it was once "intersection-function" with a NaN
+    # witness
+    cfg = tmp_path / "sing.ini"
+    cfg.write_text(
+        "[scenario]\nkind = certify-intersection\n"
+        "[functions]\nf_radial = exp(-r^2) / r^2\n"
+        "f_angular = 1 + 0.1*legendre(2, z)\n"
+        "[output]\ndir = out\n")
+    with np.errstate(divide="ignore"):
+        assert main(["certify-intersection", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out" / "report.json").exists()
 
 
 def test_domination_failure_exit_code(tmp_path):

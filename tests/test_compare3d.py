@@ -304,7 +304,9 @@ def test_counterexample_nonradial(grid16, p):
 
 
 def _record_bessel_tables(monkeypatch):
-    """Shapes of the j_k tables built through radon3d.spherical_jn."""
+    """Shapes of the j_k tables built through radon3d.spherical_jn, from an
+    empty kernel-table cache on."""
+    radon3d._kernel_table.cache_clear()
     real = radon3d.spherical_jn
     shapes = []
 

@@ -16,6 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from radoncomp import radon3d
 from radoncomp.errors import (
     CertificateRequired,
     DecayTooSlow,
@@ -381,6 +382,172 @@ def test_ray_profile_even_and_matches_closed_form(grid16):
     assert np.max(np.abs(m[0] - ref)) < 1e-9
     n = len(r_nodes)
     assert np.max(np.abs(m[0, 1:] - m[0, 1:][::-1])) < 1e-12  # even in r
+
+
+def _trapezoid_sine_reference(profile, r_vals):
+    """The sine kernel as a trapezoid formula: the (rows x radii x s)
+    integrand built in full and summed by np.trapezoid, with the same
+    singular-origin extrapolation, endpoint correction and algebraic tail."""
+    s, u = profile.r, np.atleast_2d(profile.samples)
+    singular = ~np.isfinite(u[:, 0])
+    with np.errstate(invalid="ignore"):
+        w = s * u
+    w[singular, 0] = 0.0
+    out = np.zeros((len(u), len(r_vals)))
+    nz = r_vals != 0.0
+    rr = r_vals[nz]
+    integ = np.sin(np.outer(rr, s)) * w[:, None, :]
+    integ[singular, :, 0] = 1.5 * integ[singular, :, 1] \
+        - 0.6 * integ[singular, :, 2] + 0.1 * integ[singular, :, 3]
+    vals = np.trapezoid(integ, s, axis=-1)
+    ds = s[1] - s[0]
+    wp_end = ((3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3]) / (2.0 * ds))[:, None]
+    gp_end = wp_end * np.sin(rr * s[-1]) + w[:, -1:] * rr * np.cos(rr * s[-1])
+    vals -= np.where(singular[:, None], 0.0,
+                     (ds * ds / 12.0) * (gp_end - w[:, :1] * rr))
+    if profile.decay == "algebraic":
+        vals += w[:, -1:] * np.cos(rr * s[-1]) / rr \
+            - wp_end * np.sin(rr * s[-1]) / (rr * rr)
+    out[:, nz] = 4.0 * math.pi * vals / rr
+    out[:, ~nz] = 4.0 * math.pi * np.trapezoid(s * w, s, axis=-1)[:, None]
+    return out
+
+
+def _trapezoid_jk_reference(profile, k, r_vals):
+    """The j_k kernel as a trapezoid formula over every row at once: rows
+    that end at 0 continue with 0 on the 32x extension whenever any row is
+    tailed, and every j_k block is built per call."""
+    s_int, u_int = s, u = profile.r, np.atleast_2d(profile.samples)
+    tail_c = u[:, -1] * s[-1] if profile.decay == "algebraic" \
+        else np.zeros(len(u))
+    tailed = np.any(tail_c != 0.0)
+    if tailed:
+        ds = s[1] - s[0]
+        basis = lambda x: np.stack([1.0 / x, 1.0 / x ** 3, 1.0 / x ** 5])
+        fit = np.linalg.lstsq(basis(s[-len(s) // 4:]).T, u[:, -len(s) // 4:].T,
+                              rcond=None)[0] * (tail_c != 0.0)
+        tail_c = fit[0]
+        s_ext = s[-1] + ds * np.arange(1, int(31.0 * len(s)) + 1)
+        s_int = np.concatenate([s, s_ext])
+        u_int = np.hstack([u, fit.T @ basis(s_ext)])
+    w = u_int * s_int * s_int
+    ww = w * radon3d._trapezoid_weights(s_int)
+    radial = np.empty((len(u), len(r_vals)))
+    for lo in range(0, len(r_vals), 64):
+        rr = r_vals[lo:lo + 64]
+        jk = spherical_jn(k, np.outer(rr, s_int))
+        part = ww @ jk.T
+        if tailed:
+            ds = s_int[1] - s_int[0]
+            end = jk[:, -3:] * w[:, None, -3:]
+            part -= (ds / 24.0) * (3.0 * end[..., 2] - 4.0 * end[..., 1]
+                                   + end[..., 0])
+            nz = rr > 0.0
+            part[:, nz] += np.outer(
+                tail_c, radon3d._bessel_tail_xjk(k, rr[nz] * s_int[-1])
+                / rr[nz] ** 2)
+        radial[:, lo:lo + 64] = part
+    return radial
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("decay", ["schwartz", "algebraic"])
+def test_ray_kernels_match_trapezoid_reference(k, decay):
+    # rows: regular, singular at the origin (c/s^2), algebraic, and one that
+    # ends at 0, which stays untailed while the algebraic tag tails the rest
+    s = np.linspace(0.0, 16.0, 1024)
+    with np.errstate(divide="ignore"):
+        u = np.array([np.exp(-s * s), np.exp(-s * s) / (s * s),
+                      1.0 / (1.0 + s * s), np.maximum(1.0 - s / 8.0, 0.0) ** 3])
+    r_vals = np.r_[0.0, symmetric_nodes(1024, 16.0)[513:]]
+    profile = RadialProfile(u, 16.0, decay)
+    if k == 0:
+        got = radon3d._radial_fourier(profile, r_vals)
+        want = _trapezoid_sine_reference(profile, r_vals)
+    else:
+        # j_k(0) = 0, so the origin sample never enters; the reference forms
+        # u s^2 at s = 0 and needs it finite
+        got = radon3d._degree_radial_fourier(profile, k, r_vals)
+        want = _trapezoid_jk_reference(
+            RadialProfile(np.where(np.isfinite(u), u, 0.0), 16.0, decay),
+            k, r_vals)
+    assert np.all(np.isfinite(got))
+    scale = np.max(np.abs(want), axis=1, keepdims=True)
+    assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_second_certificate_on_one_grid_builds_no_table(grid16, monkeypatch):
+    from test_compare3d import _nonradial_psi, _record_bessel_tables
+
+    shapes = _record_bessel_tables(monkeypatch)     # also empties the cache
+    certify_intersection_function(_nonradial_psi(grid16))
+    built = list(shapes)
+    # the sine table and one j_2 table, the latter in blocks of 64 radii
+    assert radon3d._kernel_table.cache_info().misses == 2
+    assert len(built) == 16 and all(rows <= 64 for rows, _ in built)
+    z = grid16.nodes[:, 2]
+    other = SeparableFunction([
+        (radial_profile(lambda r: 2.0 * np.exp(-2.0 * r * r)),
+         SphericalFunction(grid16, np.ones(grid16.n_nodes), parity="even")),
+        (radial_profile(lambda r: r * r * np.exp(-r * r)),
+         SphericalFunction(grid16, 0.5 * (1.5 * z * z - 0.5), parity="even"))])
+    certify_intersection_function(other)
+    assert shapes == built
+    info = radon3d._kernel_table.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
+
+
+def test_kernel_tables_read_only_and_bounded():
+    radon3d._kernel_table.cache_clear()
+    s = np.linspace(0.0, 4.0, 33)
+    for i in range(radon3d._KERNEL_TABLES + 3):
+        r = np.linspace(0.0, 1.0 + i, 70)
+        for k in (0, 2):
+            table = radon3d._kernel_table(k, r.tobytes(), s.tobytes())
+            x = np.outer(r, s)
+            assert np.array_equal(table, np.sin(x) if k == 0 else spherical_jn(k, x))
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1.0
+    info = radon3d._kernel_table.cache_info()
+    assert info.maxsize == radon3d._KERNEL_TABLES == info.currsize
+
+
+def test_singular_degree2_origin_transform_is_finite(grid16):
+    # e^{-r^2} + 0.1 e^{-r^2}/r^2 P_2(z): the degree-2 profile is infinite at
+    # r = 0, but u s^2 = 0.1 e^{-s^2} is not and j_2(0) = 0.  Along z,
+    #   f^(r) = pi^{3/2} e^{-r^2/4} - 0.4 pi int_0^inf e^{-s^2} j_2(rs) ds.
+    from scipy.integrate import quad
+    from scipy.special import spherical_jn as scipy_jn
+
+    z = grid16.nodes[:, 2]
+    with np.errstate(divide="ignore"):
+        f = SeparableFunction([
+            (radial_profile(lambda r: np.exp(-r * r)),
+             SphericalFunction(grid16, np.ones(grid16.n_nodes), parity="even")),
+            (radial_profile(lambda r: np.exp(-r * r) / (r * r)),
+             SphericalFunction(grid16, 0.1 * (1.5 * z * z - 0.5),
+                               parity="even"))])
+    r = np.linspace(0.0, 8.0, 17)
+    ref = [math.pi ** 1.5 * math.exp(-x * x / 4.0) - 0.4 * math.pi * quad(
+        lambda s: math.exp(-s * s) * scipy_jn(2, x * s), 0.0, 10.0,
+        epsabs=1e-14, limit=200)[0] for x in r]
+    got = fourier_along_ray(f, np.array([0.0, 0.0, 1.0]), r)
+    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+    # m = r^2 f^ grows like r: the grid cannot hold it, so no verdict
+    with pytest.raises(GridTooCoarse):
+        certify_intersection_function(f)
+
+
+def test_certification_refuses_non_finite_transform(grid16):
+    def fhat(r):
+        r = np.asarray(r, float)
+        return np.where(r < 8.0, math.pi ** 1.5 * np.exp(-r * r / 4.0), np.nan)
+
+    f = separable_radial(lambda r: np.exp(-np.asarray(r, float) ** 2), grid16,
+                         fourier_radial=fhat)
+    with pytest.raises(InputInvalid, match="non-finite"):
+        certify_intersection_function(f)
 
 
 # ----------------------------------------------------------------------------
