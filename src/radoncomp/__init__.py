@@ -83,10 +83,10 @@ _LAZY = {
         "IntersectionCertificate", "RadialProfile", "RayMeasure",
         "SeparableFunction", "Sinogram", "catalog_entry",
         "certify_intersection_function", "classification_witness",
-        "dual_radon", "fourier_1d", "fourier_along_ray",
-        "intersection_function_of", "inverse_fourier_1d", "mollified_ball",
-        "radon_direct_point", "radon_transform", "separable_power",
-        "separable_radial", "symmetric_nodes",
+        "dual_radon", "fourier_1d", "intersection_function_of",
+        "inverse_fourier_1d", "mollified_ball", "radon_direct_point",
+        "radon_transform", "separable_power", "separable_radial",
+        "symmetric_nodes",
     ),
     "compare3d": (
         "RnComparisonReport", "construct_counterexample_radon", "lp_norm_rn",

@@ -55,6 +55,10 @@ EXIT_INPUT = 1
 EXIT_HYPOTHESIS = 2
 EXIT_DOMINATION = 3
 EXIT_CONSTRUCTION = 4
+# exit code and note prefix of each refusal that still writes a report
+_REFUSALS = {DominationFails: (EXIT_DOMINATION, "domination failed"),
+             NotApplicable: (EXIT_HYPOTHESIS, "not applicable"),
+             ConstructionFailed: (EXIT_CONSTRUCTION, "construction failed")}
 
 
 # ----------------------------------------------------------------------------
@@ -298,29 +302,19 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None,
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    notes = ""
     try:
         code, certs, norms, margins, residuals, notes = \
             _RUNNERS[cfg.kind](cfg, out, tol_scale)
-    except DominationFails as exc:
-        code, certs, norms, margins, residuals = \
-            EXIT_DOMINATION, [], {}, {}, {}
-        notes = f"domination failed: {exc}"
-    except NotApplicable as exc:
-        code, certs, norms, margins, residuals = \
-            EXIT_HYPOTHESIS, [], {}, {}, {}
-        notes = f"not applicable: {exc}"
-    except ConstructionFailed as exc:
-        code, certs, norms, margins, residuals = \
-            EXIT_CONSTRUCTION, [], {}, {}, {}
-        notes = f"construction failed: {exc}"
+    except (DominationFails, NotApplicable, ConstructionFailed) as exc:
+        code, prefix = _REFUSALS[type(exc)]
+        certs, norms, margins, residuals = [], {}, {}, {}
+        notes = f"{prefix}: {exc}"
     wall = time.perf_counter() - started
     inputs = {
         "kind": cfg.kind, "p": cfg.p, "q": cfg.q, "catalog": cfg.catalog,
         "expressions": dict(cfg.expressions),
         "grid": {"n_polar": cfg.n_polar, "n_azimuth": cfg.n_azimuth,
-                 "l_max": cfg.l_max, "t_max": cfg.t_max, "n_t": cfg.n_t,
-                 "r_max": cfg.r_max},
+                 "n_t": cfg.n_t, "r_max": cfg.r_max},
         "tol_scale": tol_scale,
     }
     emit_report(out, cfg.kind, inputs, certs, norms, margins, residuals,

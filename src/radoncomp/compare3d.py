@@ -88,19 +88,19 @@ class RnComparisonReport:
 # L^p norms
 # ----------------------------------------------------------------------------
 
-def lp_norm_rn(phi: SeparableFunction, p: float,
-               n_radial: int = 2048, tail_tol: float = 1e-6) -> float:
-    """|phi|_p by polar quadrature (Gauss-Legendre radius x sphere grid).
+def lp_norm_rn(phi: SeparableFunction, p: float) -> float:
+    """|phi|_p by polar quadrature (2048 Gauss-Legendre radii x sphere grid).
 
-    The n_radial-point rule is built on first use and cached for the life of
-    the process (sphere.gauss_legendre); at the default 2048 nodes the first
-    call pays about 0.1 s for it, later calls nothing.
+    The radial rule is built on first use and cached for the life of the
+    process (sphere.gauss_legendre): the first call pays about 0.1 s for it,
+    later calls nothing.  Raises TailTooHeavy when the integrand at r_max
+    still carries more than 1e-6 of the integral.
     """
     if p <= 0.0:
         raise OutOfRange(f"p must be positive, got {p}")
     phi.require_finite("phi")
     r_max = phi.r_max
-    rg, wg = radial_gauss_legendre(r_max, n_radial)
+    rg, wg = radial_gauss_legendre(r_max, 2048)
     grid = phi.grid
     vals = np.abs(phi.values_polar(rg)) ** p
     total = float((wg * rg * rg) @ vals @ grid.weights)
@@ -109,10 +109,10 @@ def lp_norm_rn(phi: SeparableFunction, p: float,
     edge = float(np.abs(phi.values_polar(np.array([r_max]))[0]) ** p
                  @ grid.weights)
     tail_est = edge * r_max ** 3
-    if tail_est > tail_tol * max(total, 1e-300):
+    if tail_est > 1e-6 * max(total, 1e-300):
         raise TailTooHeavy(
             f"estimated boundary contribution {tail_est:.3e} exceeds "
-            f"{tail_tol:.0e} of the integral {total:.3e}; |phi|^p is not "
+            f"1e-06 of the integral {total:.3e}; |phi|^p is not "
             "captured by the truncated grid"
         )
     return total ** (1.0 / p)
@@ -290,15 +290,17 @@ def _bump_profiles(lattice: list[tuple[float, float]], grid,
     return bumps
 
 
+# Halvings of eta tried before the construction gives up.
+_MAX_HALVINGS = 20
+
+
 def _combine(psi: SeparableFunction, h: SeparableFunction,
              coeff: float) -> SeparableFunction:
     return SeparableFunction(psi.blocks + h.scaled(coeff).blocks)
 
 
-def _integral_against(w_fn: SeparableFunction, h: SeparableFunction,
-                      n_radial: int = 300) -> float:
-    r_max = min(w_fn.r_max, h.r_max)
-    rg, wg = radial_gauss_legendre(r_max, n_radial)
+def _integral_against(w_fn: SeparableFunction, h: SeparableFunction) -> float:
+    rg, wg = radial_gauss_legendre(min(w_fn.r_max, h.r_max), 300)
     grid = w_fn.grid
     vals = w_fn.values_polar(rg) * h.values_polar(rg)
     return float((wg * rg * rg) @ vals @ grid.weights)
@@ -325,8 +327,7 @@ def _negative_window(omega: np.ndarray,
 
 def construct_counterexample_radon(psi: SeparableFunction, p: float,
                                    rel_tol: float = 1e-9,
-                                   gap_tol: float = 1e-8,
-                                   max_halvings: int = 20
+                                   gap_tol: float = 1e-8
                                    ) -> tuple[SeparableFunction,
                                               RnComparisonReport]:
     """phi = psi - eta h with R phi <= R psi yet |phi|_p > |psi|_p (p > 1).
@@ -393,7 +394,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
     lp_psi = lp_norm_rn(psi, p)
     phi = None
     gap = -np.inf
-    for _ in range(max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         cand = _combine(psi, h, -eta)
         if cand.min_on_sample_grid(n_chk) >= -rel_tol * float(
                 np.max(np.abs(psi_vals))):
@@ -405,7 +406,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
         eta *= 0.5
     if phi is None:
         raise ConstructionFailed(
-            f"norm gap stayed <= {gap_tol:.0e} after {max_halvings} halvings "
+            f"norm gap stayed <= {gap_tol:.0e} after {_MAX_HALVINGS} halvings "
             f"(last gap {gap:.3e}, eta {eta:.3e}, int w h {ip:.3e})"
         )
     r_phi, r_psi = _sinogram_pair(phi, psi)

@@ -2,13 +2,16 @@
 
 Sections:
 
-    [scenario]   kind (one of the nine scenario kinds), p, q, and options
-    [grid]       n_polar, n_azimuth, l_max, t_max, n_t, r_max
+    [scenario]   kind (one of the nine scenario kinds), p, q, catalog,
+                 lower_branch, tail_correction
+    [grid]       n_polar, n_azimuth, n_t, r_max
     [functions]  expression-valued entries (parsed and checked at load time)
-    [tolerances] optional numeric overrides, scaled by --tol-scale at run time
+    [tolerances] rel_tol, gap_tol, chain_tol, tail_tol, catalog_tol: optional
+                 overrides, scaled by --tol-scale at run time
     [output]     dir
 
-Every expression referenced by the scenario is parsed — and angular
+Any other section or key is refused, since nothing would read it.  Every
+expression referenced by the scenario is parsed — and angular
 expressions are checked for evenness — before any computation starts.
 """
 
@@ -64,8 +67,6 @@ class ScenarioConfig:
     tail_correction: bool = False
     n_polar: int = 16
     n_azimuth: int = 32
-    l_max: int = 8
-    t_max: float = 16.0
     n_t: int = 2048
     r_max: float = 16.0
     expressions: dict = field(default_factory=dict)   # name -> source text
@@ -90,7 +91,15 @@ def _check_expr(name: str, src: str, context: str) -> ExprAst:
 
 # typed keys per section, each read as the type of its ScenarioConfig field
 _TYPED_KEYS = {"scenario": ("p", "q", "lower_branch", "tail_correction"),
-               "grid": ("n_polar", "n_azimuth", "l_max", "t_max", "n_t", "r_max")}
+               "grid": ("n_polar", "n_azimuth", "n_t", "r_max")}
+# every key a section may hold; [functions] names its own entries, the
+# tolerances are the names the scenario runners pass to ScenarioConfig.tol,
+# and [scenario] seed labels a run: only the manifest's echo holds it
+_KEYS = {"scenario": ("kind", "catalog", "seed", *_TYPED_KEYS["scenario"]),
+         "grid": _TYPED_KEYS["grid"], "functions": None,
+         "tolerances": ("rel_tol", "gap_tol", "chain_tol", "tail_tol",
+                        "catalog_tol"),
+         "output": ("dir",)}
 
 
 def _typed(section: configparser.SectionProxy, key: str, like):
@@ -103,11 +112,26 @@ def _typed(section: configparser.SectionProxy, key: str, like):
                            f"a valid {kind.__name__}") from None
 
 
+def _check_keys(parser: configparser.ConfigParser) -> None:
+    """InputInvalid naming the first section or key that nothing reads."""
+    for name in parser.sections():
+        if name not in _KEYS:
+            where = " ".join([f"[{name}]", *list(parser[name])[:1]])
+            raise InputInvalid(f"unknown section {where}; sections are "
+                               + ", ".join(f"[{s}]" for s in _KEYS))
+        keys = _KEYS[name]
+        for key in parser[name]:
+            if keys is not None and key not in keys:
+                raise InputInvalid(f"unknown key [{name}] {key}; [{name}] "
+                                   f"takes {', '.join(keys)}")
+
+
 def load_config(path: str | Path) -> ScenarioConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     read = parser.read(str(path))
     if not read:
         raise InputInvalid(f"config file {path} not found or unreadable")
+    _check_keys(parser)
     if "scenario" not in parser:
         raise InputInvalid("config must have a [scenario] section")
     sc = parser["scenario"]

@@ -328,7 +328,14 @@ def _require_arity(node: Call, n: int) -> None:
 
 
 def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
-    """Vectorized evaluation over the context's sample arrays."""
+    """Vectorized evaluation over the context's sample arrays.  NumPy's
+    floating-point warnings are off: a division by zero or an overflow
+    leaves its inf or nan in the values, for the caller's checks to judge."""
+    with np.errstate(all="ignore"):
+        return _evaluate(ast, ctx)
+
+
+def _evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
     if isinstance(ast, Num):
         return np.full_like(next(iter(ctx.variables.values()), np.zeros(1)),
                             ast.value, dtype=float) \
@@ -350,10 +357,10 @@ def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
                 f"{', '.join(sorted(ctx.variables))})", ast.pos)
         return ctx.variables[ast.name].astype(float)
     if isinstance(ast, Unary):
-        return -evaluate(ast.operand, ctx)
+        return -_evaluate(ast.operand, ctx)
     if isinstance(ast, BinOp):
-        a = evaluate(ast.left, ctx)
-        b = evaluate(ast.right, ctx)
+        a = _evaluate(ast.left, ctx)
+        b = _evaluate(ast.right, ctx)
         if ast.op == "+":
             return a + b
         if ast.op == "-":
@@ -362,34 +369,33 @@ def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
             return a * b
         if ast.op == "/":
             return a / b
-        with np.errstate(invalid="ignore"):
-            return np.power(a, b)
+        return np.power(a, b)
     assert isinstance(ast, Call)
     name = ast.func
     if name == "exp":
         _require_arity(ast, 1)
-        return np.exp(evaluate(ast.args[0], ctx))
+        return np.exp(_evaluate(ast.args[0], ctx))
     if name == "erf":
         _require_arity(ast, 1)
-        return erf(evaluate(ast.args[0], ctx))
+        return erf(_evaluate(ast.args[0], ctx))
     if name == "abs":
         _require_arity(ast, 1)
-        return np.abs(evaluate(ast.args[0], ctx))
+        return np.abs(_evaluate(ast.args[0], ctx))
     if name == "min":
         _require_arity(ast, 2)
-        return np.minimum(evaluate(ast.args[0], ctx),
-                          evaluate(ast.args[1], ctx))
+        return np.minimum(_evaluate(ast.args[0], ctx),
+                          _evaluate(ast.args[1], ctx))
     if name == "max":
         _require_arity(ast, 2)
-        return np.maximum(evaluate(ast.args[0], ctx),
-                          evaluate(ast.args[1], ctx))
+        return np.maximum(_evaluate(ast.args[0], ctx),
+                          _evaluate(ast.args[1], ctx))
     if name == "legendre":
         _require_arity(ast, 2)
         k = _const_value(ast.args[0])
         if k != int(k) or k < 0:
             raise InputInvalid(f"legendre degree must be a non-negative "
                                f"integer, got {k}")
-        return legendre(int(k), evaluate(ast.args[1], ctx))
+        return legendre(int(k), _evaluate(ast.args[1], ctx))
     if name == "gauss":
         _require_arity(ast, 1)
         width = _const_value(ast.args[0])
@@ -407,8 +413,7 @@ def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
         u = (2.0 * v - a - b) / (b - a)
         out = np.zeros_like(v, dtype=float)
         inside = np.abs(u) < 1.0
-        with np.errstate(divide="ignore", over="ignore"):
-            out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
+        out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
         return out
     if name == "gamma_q":
         _require_arity(ast, 1)
@@ -420,11 +425,11 @@ def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
     raise UnknownIdentifier(f"unknown function {name!r}", ast.pos)
 
 
-def check_angular_even(ast: ExprAst, tol: float = 1e-10,
-                       n_samples: int = 64) -> None:
+def check_angular_even(ast: ExprAst) -> None:
     """Reject angular expressions without antipodal symmetry, by sampling at
-    a golden-angle spiral of n_samples directions (it holds no antipodal
-    pair, so odd terms cannot cancel in pairs)."""
+    a golden-angle spiral of 64 directions (it holds no antipodal pair, so
+    odd terms cannot cancel in pairs); tolerance 1e-10."""
+    n_samples = 64
     i = np.arange(n_samples) + 0.5
     z, phi = 1.0 - 2.0 * i / n_samples, math.pi * (3.0 - math.sqrt(5.0)) * i
     rho = np.sqrt(1.0 - z * z)
@@ -432,7 +437,7 @@ def check_angular_even(ast: ExprAst, tol: float = 1e-10,
     plus = evaluate(ast, angular_context(v[:, 0], v[:, 1], v[:, 2]))
     minus = evaluate(ast, angular_context(-v[:, 0], -v[:, 1], -v[:, 2]))
     resid = float(np.max(np.abs(plus - minus)))
-    if resid > tol * max(float(np.max(np.abs(plus))), 1.0):
+    if resid > 1e-10 * max(float(np.max(np.abs(plus))), 1.0):
         raise InputInvalid(
             f"angular expression is not even: antipodal residual {resid:.3e} "
-            f"exceeds {tol:.0e}")
+            "exceeds 1e-10")

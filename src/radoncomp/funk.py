@@ -83,23 +83,19 @@ class ComparisonReport:
     notes: str = ""
 
 
-def _spectrum_of(f: SphericalFunction, l_max: int | None = None) -> HarmonicSpectrum:
-    if f.spectrum is not None and (l_max is None or f.spectrum.l_max >= l_max):
-        return f.spectrum
-    return analyze(f, l_max)
+def _spectrum_of(f: SphericalFunction) -> HarmonicSpectrum:
+    return f.spectrum if f.spectrum is not None else analyze(f)
 
 
-def sradon_direct(f: SphericalFunction, xi: np.ndarray,
-                  n_nodes: int | None = None) -> float:
+def sradon_direct(f: SphericalFunction, xi: np.ndarray) -> float:
     """Great-circle integral of f over S^2 intersected with xi-perp.
 
-    Trapezoid rule on the circle; exact for band-limited integrands because
-    the restriction of a degree-L function to a great circle is a
-    trigonometric polynomial of degree <= L.
+    Trapezoid rule on max(64, 4 (L + 1)) nodes of the circle; exact for
+    band-limited integrands because the restriction of a degree-L function
+    to a great circle is a trigonometric polynomial of degree <= L.
     """
     spec = _spectrum_of(f)
-    if n_nodes is None:
-        n_nodes = max(64, 4 * (spec.l_max + 1))
+    n_nodes = max(64, 4 * (spec.l_max + 1))
     e1, e2 = orthonormal_frame(xi)
     t = TWO_PI * np.arange(n_nodes) / n_nodes
     pts = np.outer(np.cos(t), e1) + np.outer(np.sin(t), e2)
@@ -112,10 +108,9 @@ def sradon_spectral(spectrum: HarmonicSpectrum) -> HarmonicSpectrum:
     return spectrum.scaled_by_degree(funk_eigenvalues(spectrum.l_max))
 
 
-def sradon_map(f: SphericalFunction, l_max: int | None = None) -> SphericalFunction:
+def sradon_map(f: SphericalFunction) -> SphericalFunction:
     """Rf sampled on f's own grid, via the spectral route."""
-    spec = _spectrum_of(f, l_max)
-    return synthesize(sradon_spectral(spec), f.grid, parity="even")
+    return synthesize(sradon_spectral(_spectrum_of(f)), f.grid, parity="even")
 
 
 def _newton_polish_extremum(spec: HarmonicSpectrum, node: np.ndarray,
@@ -225,8 +220,7 @@ def _nonneg_bandlimited_bump(h: SphericalFunction, delta: float,
 
 def construct_counterexample_spherical(base: SphericalFunction, p: float,
                                        rel_tol: float = REL_TOL,
-                                       gap_tol: float = 1e-8,
-                                       max_halvings: int = 20
+                                       gap_tol: float = 1e-8
                                        ) -> tuple[SphericalFunction, ComparisonReport]:
     """Counterexample constructor for the spherical comparison problem.
 
@@ -265,7 +259,7 @@ def construct_counterexample_spherical(base: SphericalFunction, p: float,
     sign = -1.0 if p > 1.0 else +1.0  # f = g - eps*phi  |  g = f + eps*phi
     eps = 0.5 * base.min() / max(phi.max_abs(), 1e-300)
     attempts = []
-    for _ in range(max_halvings + 1):
+    for _ in range(21):                  # the first epsilon and 20 halvings
         cand_vals = base.values + sign * eps * phi.values
         cand = SphericalFunction(grid, cand_vals, parity="even")
         if cand.min() <= 0.0:
@@ -373,14 +367,14 @@ def intersection_body_of(body: StarBody) -> StarBody:
                     meta={"spectral_identity_residual": residual})
 
 
-def section_measure(body: StarBody, density, xi: np.ndarray,
-                    n_radial: int = 64) -> float:
+def section_measure(body: StarBody, density, xi: np.ndarray) -> float:
     """mu(L cut by xi-perp) for a measure with continuous density.
 
     Computed as the spherical Radon transform, at xi, of the per-direction
     radial integral  theta -> integral_0^{rho_L(theta)} r * density(r theta) dr
     (the n = 3 instance of the polar section formula).  The radial integral
-    uses Gauss-Legendre nodes, doubled until two refinements agree.
+    uses Gauss-Legendre nodes, 64 at first, doubled until two refinements
+    agree.
 
     ``density`` is any callable taking an (N, 3) array of points.
     """
@@ -396,6 +390,7 @@ def section_measure(body: StarBody, density, xi: np.ndarray,
         dens = np.asarray(density(pts.reshape(-1, 3))).reshape(r.shape)
         return np.sum(wr * r * dens, axis=1)
 
+    n_radial = 64
     vals = inner(n_radial)
     for _ in range(3):
         vals2 = inner(n_radial * 2)

@@ -87,10 +87,8 @@ def funk_eigenvalues(l_max: int) -> np.ndarray:
     return _funk_table(1 << int(l_max).bit_length())[:l_max + 1]
 
 
-def funk_eigenvalue(k: int, n: int = 3) -> float:
-    """Eigenvalue of the spherical Radon transform on degree k (n = 3 engine)."""
-    if n != 3:
-        raise OutOfRange("grid engine is fixed at n = 3")
+def funk_eigenvalue(k: int) -> float:
+    """Eigenvalue of the spherical Radon transform on degree k."""
     return float(funk_eigenvalues(k)[k])
 
 
@@ -123,11 +121,12 @@ class PDCertificate:
         }
 
 
-def fourier_homogeneous(spectrum: HarmonicSpectrum, p: float, n: int = 3) -> HarmonicSpectrum:
-    """Spectrum of g where (f * r^{-p})^ = g * r^{-(n-p)}; even spectra only.
+def fourier_homogeneous(spectrum: HarmonicSpectrum, p: float) -> HarmonicSpectrum:
+    """Spectrum of g where (f * r^{-p})^ = g * r^{-(3-p)} on R^3; even
+    spectra only.
 
-    Applying the operation twice with exponents p then n - p multiplies the
-    input by (2 pi)^n.
+    Applying the operation twice with exponents p then 3 - p multiplies the
+    input by (2 pi)^3.
     """
     residual = spectrum.even_part_residual()
     if residual > 1e-8:
@@ -135,7 +134,7 @@ def fourier_homogeneous(spectrum: HarmonicSpectrum, p: float, n: int = 3) -> Har
             f"spectrum has odd-degree content (relative size {residual:.2e}); "
             "homogeneous Fourier transforms are defined here for even functions"
         )
-    return spectrum.scaled_by_degree(multiplier_table(n, spectrum.l_max, p))
+    return spectrum.scaled_by_degree(multiplier_table(3, spectrum.l_max, p))
 
 
 def certify_pd_r1(f: SphericalFunction, q: float,
@@ -179,10 +178,10 @@ def certify_pd_r1(f: SphericalFunction, q: float,
 
 
 def spherical_parseval_check(f: SphericalFunction, g: SphericalFunction,
-                             p: float, n: int = 3) -> float:
-    """Residual of the spherical Parseval identity, evaluated spectrally.
+                             p: float) -> float:
+    """Residual of the spherical Parseval identity on R^3, evaluated spectrally.
 
-    | <(f r^{-p})^, (g r^{-(n-p)})^> - (2 pi)^n <f, g> | relative to the
+    | <(f r^{-p})^, (g r^{-(3-p)})^> - (2 pi)^3 <f, g> | relative to the
     right-hand side.  Odd-degree content is projected out (with the residual
     reported through the even-part check of analyze).
     """
@@ -191,9 +190,9 @@ def spherical_parseval_check(f: SphericalFunction, g: SphericalFunction,
     # zero the odd part: only even degrees carry multipliers
     sf = analyze(f, l_max).even_part()
     sg = analyze(g, l_max).even_part()
-    tf = fourier_homogeneous(sf, p, n)
-    tg = fourier_homogeneous(sg, n - p, n)
+    tf = fourier_homogeneous(sf, p)
+    tg = fourier_homogeneous(sg, 3.0 - p)
     lhs = float(tf.coeffs @ tg.coeffs)
-    rhs = (2.0 * math.pi) ** n * float(sf.coeffs @ sg.coeffs)
+    rhs = TWO_PI_CUBED * float(sf.coeffs @ sg.coeffs)
     scale = max(abs(rhs), 1.0)
     return abs(lhs - rhs) / scale

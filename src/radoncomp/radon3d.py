@@ -65,7 +65,6 @@ __all__ = [
     "hemisphere_indices",
     "radon_transform",
     "radon_direct_point",
-    "fourier_along_ray",
     "certify_intersection_function",
     "dual_radon",
     "intersection_function_of",
@@ -87,6 +86,9 @@ PAIRING_CONSTANT = 1.0 / (16.0 * math.pi ** 3)
 
 DEFAULT_T_MAX = 16.0
 DEFAULT_N = 2048
+# Bandwidth of the harmonic fits of powers, dual transforms and
+# reconstructions on R^3.
+_FIT_L_MAX = 8
 # A harmonic mode whose radial coefficients all stay at most this fraction of
 # the largest one is dropped from a fitted or reconstructed function.
 _MODE_CUT = 1e-12
@@ -454,8 +456,7 @@ def _live_modes(coeffs: np.ndarray, l_max: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def separable_from_polar_samples(values: np.ndarray, r_vals: np.ndarray,
-                                 grid: SphereGrid, l_max: int,
-                                 decay: str = "schwartz") -> SeparableFunction:
+                                 grid: SphereGrid, l_max: int) -> SeparableFunction:
     """Fit (n_r, n_nodes) even polar samples as a sum of harmonic modes.
 
     Each retained (k, m) mode becomes one row of a single block: radial
@@ -465,11 +466,10 @@ def separable_from_polar_samples(values: np.ndarray, r_vals: np.ndarray,
     r_vals = np.asarray(r_vals, dtype=float)
     coeffs = analyze_rows(grid, np.transpose(values), l_max)
     modes, _ = _live_modes(coeffs, l_max)
-    return _modal_function(grid, l_max, r_vals, decay, modes, coeffs[modes])
+    return _modal_function(grid, l_max, r_vals, "schwartz", modes, coeffs[modes])
 
 
-def separable_power(phi: SeparableFunction, e: float, l_max: int = 8,
-                    n_r: int = 512) -> SeparableFunction:
+def separable_power(phi: SeparableFunction, e: float) -> SeparableFunction:
     """phi^e as a SeparableFunction; rejects powers that destroy decay.
 
     A decaying phi raised to a negative power grows at infinity and leaves
@@ -477,7 +477,7 @@ def separable_power(phi: SeparableFunction, e: float, l_max: int = 8,
     """
     if e == 1.0:
         return phi
-    r_max = phi.r_max
+    r_max, n_r = phi.r_max, 512
     block, *rest = phi.blocks
     if not rest and len(block.values) == 1 and phi.is_radial:
         a = float(block.values[0, 0])
@@ -493,7 +493,7 @@ def separable_power(phi: SeparableFunction, e: float, l_max: int = 8,
     vals = phi.values_polar(r_vals)
     powered = np.abs(vals) ** e * np.sign(vals)
     _check_power_decay(vals[1:], powered[1:], e)      # origin may be singular
-    return separable_from_polar_samples(powered, r_vals, phi.grid, l_max)
+    return separable_from_polar_samples(powered, r_vals, phi.grid, _FIT_L_MAX)
 
 
 def _check_power_decay(base: np.ndarray, powered: np.ndarray, e: float) -> None:
@@ -514,15 +514,12 @@ def _check_power_decay(base: np.ndarray, powered: np.ndarray, e: float) -> None:
 
 
 def mollified_ball(radius: float = 1.0, width: float = 1e-2,
-                   amplitude: float = 1.0, grid: SphereGrid | None = None,
-                   r_max: float = DEFAULT_T_MAX,
-                   n: int = 4 * DEFAULT_N) -> SeparableFunction:
-    """Smoothed indicator of the centered ball: amplitude/2 * erfc((r-R)/w)."""
+                   grid: SphereGrid | None = None) -> SeparableFunction:
+    """Smoothed indicator of the centered ball: erfc((r-R)/w) / 2."""
     def u(r):
-        return 0.5 * amplitude * erfc((np.asarray(r, float) - radius) / width)
+        return 0.5 * erfc((np.asarray(r, float) - radius) / width)
 
-    return separable_radial(u, grid, r_max=r_max, n=n, decay="schwartz",
-                            name=f"ball(R={radius})")
+    return separable_radial(u, grid, n=4 * DEFAULT_N, name=f"ball(R={radius})")
 
 
 def hemisphere_indices(grid: SphereGrid) -> np.ndarray:
@@ -544,7 +541,6 @@ class Sinogram:
     values: np.ndarray            # (D, n_t)
     grid: SphereGrid | None = None
     direction_indices: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def dt(self) -> float:
@@ -564,9 +560,6 @@ class Sinogram:
         m = self.masses()
         mean = float(np.mean(m))
         return float(np.max(np.abs(m - mean))) / max(abs(mean), 1e-300)
-
-    def row_fourier(self, d: int) -> tuple[np.ndarray, np.ndarray]:
-        return fourier_1d(self.values[d], self.dt)
 
     def to_csv(self, path: str) -> None:
         write_table(path,
@@ -687,8 +680,7 @@ def _by_degree(f: SeparableFunction, directions: np.ndarray, n_out: int,
 
 
 def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
-                    directions: np.ndarray | None = None,
-                    direction_indices: np.ndarray | None = None) -> Sinogram:
+                    directions: np.ndarray | None = None) -> Sinogram:
     """Sinogram of a separable function.
 
     One kernel call per block and live harmonic degree k, on the rows with
@@ -699,6 +691,7 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
     grid = phi.grid
     if t is None:
         t = symmetric_nodes()
+    direction_indices = None
     if directions is None:
         direction_indices = hemisphere_indices(grid)
         directions = grid.nodes[direction_indices]
@@ -723,14 +716,14 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
                     grid=grid, direction_indices=direction_indices)
 
 
-def radon_direct_point(phi: SeparableFunction, t: float, theta: np.ndarray,
-                       rho_max: float = DEFAULT_T_MAX, n_rho: int = 400,
-                       n_alpha: int = 64) -> float:
+def radon_direct_point(phi: SeparableFunction, t: float,
+                       theta: np.ndarray) -> float:
     """Brute-force plane integral by 2D polar quadrature (cross-validation)."""
+    n_rho, n_alpha = 400, 64
     theta = np.asarray(theta, float)
     e1, e2 = orthonormal_frame(theta)
     theta = theta / np.linalg.norm(theta)
-    rho, wr = radial_gauss_legendre(rho_max, n_rho)
+    rho, wr = radial_gauss_legendre(DEFAULT_T_MAX, n_rho)
     alpha = TWO_PI * np.arange(n_alpha) / n_alpha
     pts = (t * theta[None, None, :]
            + rho[:, None, None] * (np.cos(alpha)[None, :, None] * e1
@@ -819,13 +812,6 @@ def _bessel_tail_xjk(k: int, X: np.ndarray) -> np.ndarray:
         tail = (m * tail + (2 * m + 1) * spherical_jn(m, X)) / (m + 1.0)
         m += 2
     return X * spherical_jn(k - 1, X) + k * tail
-
-
-def fourier_along_ray(f: SeparableFunction, theta: np.ndarray,
-                      r_vals: np.ndarray) -> np.ndarray:
-    """f^(r theta) for r >= 0 along the given direction."""
-    return fourier_along_rays(f, np.atleast_2d(np.asarray(theta, float)),
-                              r_vals)[0]
 
 
 def fourier_along_rays(f: SeparableFunction, directions: np.ndarray,
@@ -1073,12 +1059,10 @@ def _rows_equal(g: Sinogram) -> bool:
                 <= 1e-12 * max(float(np.max(np.abs(g.values))), 1e-300))
 
 
-def dual_radon(g: Sinogram, n_r: int = 128,
-               r_max: float | None = None,
-               l_max: int = 8) -> SeparableFunction:
-    """f(x) = integral over S^2 of g(<x, theta>, theta) d theta."""
-    if r_max is None:
-        r_max = float(-g.t[0])
+def dual_radon(g: Sinogram, n_r: int = 128) -> SeparableFunction:
+    """f(x) = integral over S^2 of g(<x, theta>, theta) d theta, sampled to
+    the data's offset range."""
+    r_max = float(-g.t[0])
     r_vals = np.linspace(0.0, r_max, n_r)
     if _rows_equal(g):
         # radial reduction: f(r) = (2 pi / r) * int_{-r}^{r} g0(s) ds
@@ -1099,32 +1083,29 @@ def dual_radon(g: Sinogram, n_r: int = 128,
     # Per harmonic degree of the data (exact in theta for band-limited rows):
     #   int_{S^2} Y_k(theta) G(<x, theta>) dtheta
     #     = Y_k(x/|x|) * 2 pi int_{-1}^{1} G(|x| c) P_k(c) dc.
-    coeffs_t = analyze_rows(grid, _full_direction_rows(g, g.values), l_max)
-    modes, deg = _live_modes(coeffs_t, l_max)
+    coeffs_t = analyze_rows(grid, _full_direction_rows(g, g.values), _FIT_L_MAX)
+    modes, deg = _live_modes(coeffs_t, _FIT_L_MAX)
     c_nodes, c_w = gauss_legendre(200)
     t_eval = np.clip(np.outer(r_vals, c_nodes), g.t[0], g.t[-1])
     g_modes = cubic_spline(g.t, coeffs_t[modes])(t_eval)  # (q, r, c)
     pk_w = c_w * legendre(deg[:, None], c_nodes)
-    return _modal_function(grid, l_max, r_vals, "algebraic", modes,
+    return _modal_function(grid, _FIT_L_MAX, r_vals, "algebraic", modes,
                            TWO_PI * np.einsum("qrc,qc->qr", g_modes, pk_w))
 
 
-def intersection_function_of(g: Sinogram, n_r: int = 128,
-                             r_max: float | None = None,
-                             l_max: int = 8) -> tuple[SeparableFunction, dict]:
+def intersection_function_of(g: Sinogram) -> tuple[SeparableFunction, dict]:
     """Reconstruct f with r^2 f^(r theta) = 8 pi^2 (g_t)^(r, theta), via
     f = (1/pi) * transform of |x|^{-2} (g_t)^(|x|, x/|x|).
 
     The report cross-checks the defining relation from the reconstructed f
     and the agreement with dual_radon.
     """
-    if r_max is None:
-        r_max = float(-g.t[0])
+    r_max = float(-g.t[0])
     n_t = len(g.t)
     omega0, ghat0 = fourier_1d(g.values[0], g.dt)
     s = omega0[n_t // 2:]               # frequencies >= 0
     h0 = ghat0[n_t // 2:]
-    n_fine = max(n_r, 768)
+    n_fine = 768
     r_vals = np.linspace(0.0, r_max, n_fine)
     if _rows_equal(g):
         # f = (1/pi) * transform of s^{-2} h(s): f(r) = (4/r) int h(s) sin(rs)/s ds
@@ -1144,14 +1125,15 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
         directions = g.directions
         # transform each data row, extend evenly, expand in harmonics
         ghat = np.array([fourier_1d(row, g.dt)[1][n_t // 2:] for row in g.values])
-        coeffs = analyze_rows(g.grid, _full_direction_rows(g, ghat), l_max)
-        modes, deg = _live_modes(coeffs, l_max)
+        coeffs = analyze_rows(g.grid, _full_direction_rows(g, ghat), _FIT_L_MAX)
+        modes, deg = _live_modes(coeffs, _FIT_L_MAX)
         weighted = coeffs[modes] * _trapezoid_weights(s)
         radial = np.empty((len(modes), n_fine))
         for k in np.unique(deg):                  # one j_k table per degree
             radial[deg == k] = (-1.0) ** (k // 2) * FOUR_PI / math.pi * (
                 weighted[deg == k] @ spherical_jn(k, np.outer(s, r_vals)))
-        f = _modal_function(g.grid, l_max, r_vals, "algebraic", modes, radial)
+        f = _modal_function(g.grid, _FIT_L_MAX, r_vals, "algebraic", modes,
+                            radial)
         g_rows = g.values
     # consistency checks, in the frequency window where the data has signal
     live = np.abs(h0) > 1e-6 * max(float(np.max(np.abs(h0))), 1e-300)
@@ -1165,7 +1147,7 @@ def intersection_function_of(g: Sinogram, n_r: int = 128,
         lhs = r_chk ** 2 * fhat[d] / RELATION_CONSTANT
         rel_res = max(rel_res, float(np.max(np.abs(lhs - target)))
                       / max(float(np.max(np.abs(target))), 1e-300))
-    dual = dual_radon(g, n_r=min(n_r, 96), r_max=r_max, l_max=l_max)
+    dual = dual_radon(g, n_r=96)
     r_cmp = np.linspace(0.05 * r_max, 0.6 * r_max, 32)
     a = f.values_polar(r_cmp)        # f and its dual share one cached grid
     b = dual.values_polar(r_cmp)
@@ -1213,9 +1195,7 @@ def _gaussian_test_battery(n_tests: int) -> list:
 
 def classification_witness(f: SeparableFunction,
                            certificate: IntersectionCertificate,
-                           n_tests: int = 10,
-                           r_max: float = DEFAULT_T_MAX,
-                           n_radial: int = 400) -> tuple[list, dict]:
+                           n_tests: int = 10) -> tuple[list, dict]:
     """Ray measures mu_theta realizing integral f*phi as a sinogram pairing.
 
     mu_theta is the 1D transform of m_theta (non-negative by certification);
@@ -1242,7 +1222,7 @@ def classification_witness(f: SeparableFunction,
         omega, mhat = cert.transform_data
         measures.append(RayMeasure(omega, mhat, dir_nodes[d]))
     # LHS quadrature nodes
-    rg, wg = radial_gauss_legendre(r_max, n_radial)
+    rg, wg = radial_gauss_legendre(DEFAULT_T_MAX, 400)
     pts = (rg[:, None, None] * grid.nodes[None, :, :]).reshape(-1, 3)
     f_vals = f.values_polar(rg)
     residuals = {}
@@ -1284,18 +1264,14 @@ class CatalogEntry:
     mhat_eval: Callable | None       # closed-form transform of m, if known
     notes: str = ""
 
-    def sinogram(self, t: np.ndarray | None = None,
-                 grid: SphereGrid | None = None) -> Sinogram:
-        """The data g(t, theta) as a Sinogram on hemisphere directions."""
-        if t is None:
-            t = symmetric_nodes()
-        if grid is None:
-            grid = self.f.grid
+    def sinogram(self) -> Sinogram:
+        """The data g(t, theta) on the default offsets and the hemisphere
+        directions of f's grid."""
+        t, grid = symmetric_nodes(), self.f.grid
         idx = hemisphere_indices(grid)
-        row = self.g_eval(np.asarray(t, float))
-        values = np.tile(row, (len(idx), 1))
-        return Sinogram(np.asarray(t, float), grid.nodes[idx], values,
-                        grid=grid, direction_indices=idx)
+        values = np.tile(self.g_eval(t), (len(idx), 1))
+        return Sinogram(t, grid.nodes[idx], values, grid=grid,
+                        direction_indices=idx)
 
 
 def _catalog_fhat(h: Callable) -> Callable:
@@ -1309,7 +1285,6 @@ def _catalog_fhat(h: Callable) -> Callable:
 
 
 def catalog_entry(name: str, grid: SphereGrid | None = None,
-                  q: float | None = None,
                   r_max: float = DEFAULT_T_MAX,
                   n: int = DEFAULT_N) -> CatalogEntry:
     """Closed-form examples, all radial (unit angular weight).
@@ -1323,7 +1298,7 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
                 transform of m = 8 pi^3 e^{-|t|}
     gamma-q:    interior profile h = e^{-|r|^q}; an intersection function
                 exactly when q <= 2 (the 1D transform of e^{-|r|^q} changes
-                sign for q > 2)
+                sign for q > 2); named "gamma-q(q)", q = 4 when omitted
     """
     if grid is None:
         grid = build_grid(16, 32)
@@ -1385,10 +1360,12 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
                              fourier_radial=_catalog_fhat(h), name=name)
         return CatalogEntry(name, f, g0, h, mhat)
     if name.startswith("gamma-q"):
-        if q is None:
-            # accept "gamma-q(4)" style names
-            inner = name[len("gamma-q"):].strip("()")
+        inner = name[len("gamma-q"):].strip("()")
+        try:
             q = float(inner) if inner else 4.0
+        except ValueError:
+            raise InputInvalid(f"catalog entry {name!r}: q must be a number, "
+                               "as in 'gamma-q(1.5)'") from None
         h = (lambda q: lambda r: np.exp(-np.abs(np.asarray(r, float)) ** q))(q)
         # sinogram data g0 = (1 / 2 pi) * transform of h, computed once
         t_nodes = symmetric_nodes(n, r_max)

@@ -11,8 +11,8 @@ real orthonormal spherical harmonics without the Condon-Shortley phase,
 where Q_k^m = sqrt((2k+1)/(4 pi) * (k-m)!/(k+m)!) * P_k^m (P_k^m without the
 (-1)^m phase).  Coefficients are stored flat with index k*k + k + m.
 
-Analysis (``analyze_rows``), synthesis and point evaluation (``degree_values``)
-all contract the Legendre table with complex (k, |m|) blocks of the flat
+Analysis (``analyze_rows``), synthesis and point evaluation
+(``degree_values_rows``) all contract the Legendre table with complex (k, |m|) blocks of the flat
 coefficients, blocked by order m as in SHTns (Schaeffer, G^3 2013).
 """
 
@@ -289,19 +289,12 @@ class HarmonicSpectrum:
         """The even-degree blocks alone; odd degrees are zeroed."""
         return self.scaled_by_degree(1.0 - np.arange(self.l_max + 1) % 2)
 
-    def live_modes(self, even_only: bool = False) -> list[int]:
+    def live_modes(self) -> list[int]:
         """Flat indices of the coefficients above 1e-14 times the largest one
-        (NaN counts as live, so bad input propagates), optionally in even
-        degrees only."""
+        (NaN counts as live, so bad input propagates)."""
         size = np.abs(self.coeffs)
-        live = ~(size <= _NEGLIGIBLE * max(np.max(size), 1e-300))
-        if even_only:
-            live &= self.degrees() % 2 == 0
-        return np.flatnonzero(live).tolist()
-
-    def live_degrees(self, even_only: bool = False) -> list[int]:
-        """Ascending degrees with at least one live coefficient (live_modes)."""
-        return sorted(set(self.degrees()[self.live_modes(even_only)].tolist()))
+        return np.flatnonzero(
+            ~(size <= _NEGLIGIBLE * max(np.max(size), 1e-300))).tolist()
 
     def degrees(self) -> np.ndarray:
         """Degree k of each flat coefficient slot (read-only)."""
@@ -413,15 +406,11 @@ def synthesize(spectrum: HarmonicSpectrum, grid: SphereGrid,
     return SphericalFunction(grid, values, spectrum=spectrum, parity=parity)
 
 
-def degree_values(spectrum: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
-    """Row k: sum_m a_{k,m} Y_{k,m} at unit vectors (n_pts, 3)."""
-    return degree_values_rows(spectrum.coeffs, points)
-
-
 def degree_values_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``degree_values`` column by column: flat coefficients ((l_max+1)^2[, n])
-    to degree rows (l_max+1[, n], n_pts); the Legendre rows are built one
-    degree at a time."""
+    """Row k: sum_m a_{k,m} Y_{k,m} at unit vectors (n_pts, 3), for each
+    column of flat coefficients ((l_max+1)^2[, n]): degree rows
+    (l_max+1[, n], n_pts); the Legendre rows are built one degree at a
+    time."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     L = math.isqrt(len(coeffs)) - 1
     m_phi = np.outer(np.arange(L + 1), np.arctan2(points[:, 1], points[:, 0]))
@@ -435,7 +424,7 @@ def degree_values_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def evaluate_spectrum(spectrum: HarmonicSpectrum, points: np.ndarray) -> np.ndarray:
     """Evaluate the harmonic expansion at arbitrary unit vectors (n_pts, 3)."""
-    return degree_values(spectrum, points).sum(axis=0)
+    return degree_values_rows(spectrum.coeffs, points).sum(axis=0)
 
 
 def grid_function(grid: SphereGrid, fn, parity: str | None = None) -> SphericalFunction:

@@ -89,15 +89,20 @@ def test_csv_outputs_written(tmp_path):
     assert (out / "sinogram_psi.csv").exists()
 
 
-def _loaded_after(code, args=()):
-    """Run code in a fresh interpreter on this checkout's src; its stdout
-    lines."""
+def _child(*args):
+    """Run the interpreter with args, on this checkout's src."""
     src = str(Path(radoncomp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    run = subprocess.run([sys.executable, "-c", code, *args], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert run.returncode == 0, run.stderr
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def _loaded_after(code, args=()):
+    """Run code in a fresh interpreter; its stdout lines.  It must exit 0
+    and write nothing to stderr (no warning either)."""
+    run = _child("-c", code, *args)
+    assert run.returncode == 0 and run.stderr == "", run.stderr
     return run.stdout.splitlines()
 
 
@@ -242,6 +247,14 @@ def test_bad_expression_is_input_error(tmp_path):
     ("scenario", "p = x"),
     ("scenario", "tail_correction = maybe"),
     ("tolerances", "rel_tol = tiny"),
+    # keys and sections that nothing reads are refused, not ignored
+    ("grid", "l_max = 3"),
+    ("grid", "t_max = 16"),
+    ("grid", "n_polr = 8"),
+    ("tolerances", "rel_tl = 1e-3"),
+    ("scenario", "bandwidth = 8"),
+    ("output", "format = csv"),
+    ("solver", "method = fast"),
 ])
 def test_malformed_number_is_input_error(tmp_path, capsys, section, line):
     sections = {"scenario": ["kind = certify-pd", "q = 1"],
@@ -256,6 +269,31 @@ def test_malformed_number_is_input_error(tmp_path, capsys, section, line):
     key = line.split(" =")[0]
     assert err.startswith("error: ") and f"[{section}] {key}" in err
     assert "Traceback" not in err
+
+
+def test_malformed_catalog_name_is_input_error(tmp_path, capsys):
+    cfg = tmp_path / "gamma.ini"
+    cfg.write_text("[scenario]\nkind = certify-intersection\n"
+                   "catalog = gamma-q(abc)\n")
+    assert main(["certify-intersection", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "gamma-q(abc)" in err
+    assert "Traceback" not in err
+
+
+def test_singular_expression_prints_only_the_error_line(tmp_path):
+    # exp(-r^2) / r^2 divides by zero at r = 0: the run refuses the input
+    # with one error line, and NumPy prints no warning before it
+    cfg = tmp_path / "singular.ini"
+    cfg.write_text("[scenario]\nkind = certify-intersection\n[functions]\n"
+                   "f_radial = exp(-r^2) / r^2\n"
+                   "f_angular = 1 + 0.1*legendre(2, z)\n")
+    run = _child("-m", "radoncomp.cli", "certify-intersection", "--config",
+                  str(cfg), "--out", str(tmp_path / "out"))
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
 
 
 def test_non_finite_samples_are_input_error(tmp_path):

@@ -94,8 +94,8 @@ def test_lp_norm_heavy_tail_raises(grid16):
 def test_radial_rule_built_once(grid16):
     f = gaussian(grid16)
     gauss_legendre.cache_clear()
-    lp_norm_rn(f, 2.0, n_radial=2048)
-    lp_norm_rn(f, 1.0, n_radial=2048)
+    lp_norm_rn(f, 2.0)
+    lp_norm_rn(f, 1.0)
     info = gauss_legendre.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 

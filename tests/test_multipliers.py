@@ -118,11 +118,6 @@ def test_funk_eigenvalue_closed_form():
                                 rel_tol=1e-15 + 1e-16 * k), k
 
 
-def test_funk_eigenvalue_only_dimension_three():
-    with pytest.raises(OutOfRange):
-        funk_eigenvalue(2, n=4)
-
-
 def test_multiplier_matches_gammaln_form():
     # math.lgamma in place of scipy's gammaln: the same log-Gamma formula
     for k in range(0, 257, 2):

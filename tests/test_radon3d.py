@@ -38,7 +38,7 @@ from radoncomp.radon3d import (
     dual_radon,
     erfc,
     fourier_1d,
-    fourier_along_ray,
+    fourier_along_rays,
     hemisphere_indices,
     intersection_function_of,
     inverse_fourier_1d,
@@ -361,7 +361,7 @@ def test_fourier_along_ray_gaussian_numeric(grid16):
     f = gaussian(grid16, closed_form=False)
     r = np.linspace(0.0, 8.0, 33)
     ref = math.pi ** 1.5 * np.exp(-r * r / 4.0)
-    got = fourier_along_ray(f, np.array([0.0, 0.0, 1.0]), r)
+    got = fourier_along_rays(f, np.array([[0.0, 0.0, 1.0]]), r)[0]
     assert np.max(np.abs(got - ref)) < 1e-9
 
 
@@ -369,9 +369,9 @@ def test_fourier_slice_identity(grid16):
     # 1D transform of a sinogram row equals the 3D transform along the ray
     f = gaussian(grid16, closed_form=False)
     sino = radon_transform(f)
-    omega, row_hat = sino.row_fourier(0)
+    omega, row_hat = fourier_1d(sino.values[0], sino.dt)
     pos = (omega >= 0) & (omega <= 8.0)
-    ray = fourier_along_ray(f, sino.directions[0], omega[pos])
+    ray = fourier_along_rays(f, sino.directions[:1], omega[pos])[0]
     assert np.max(np.abs(row_hat[pos] - ray)) < 1e-8
 
 
@@ -532,7 +532,7 @@ def test_singular_degree2_origin_transform_is_finite(grid16):
     ref = [math.pi ** 1.5 * math.exp(-x * x / 4.0) - 0.4 * math.pi * quad(
         lambda s: math.exp(-s * s) * scipy_jn(2, x * s), 0.0, 10.0,
         epsabs=1e-14, limit=200)[0] for x in r]
-    got = fourier_along_ray(f, np.array([0.0, 0.0, 1.0]), r)
+    got = fourier_along_rays(f, np.array([[0.0, 0.0, 1.0]]), r)[0]
     assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
     # m = r^2 f^ grows like r: the grid cannot hold it, so no verdict
     with pytest.raises(GridTooCoarse):

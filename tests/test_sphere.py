@@ -19,7 +19,7 @@ from radoncomp.sphere import (
     analyze_rows,
     build_grid,
     constant_function,
-    degree_values,
+    degree_values_rows,
     evaluate_spectrum,
     first_minimum,
     gauss_legendre,
@@ -346,7 +346,7 @@ def test_degree_values_sum_to_spectrum():
     spec = HarmonicSpectrum(6, rng.standard_normal(49))
     pts = rng.standard_normal((40, 3))
     pts /= np.linalg.norm(pts, axis=1)[:, None]
-    rows = degree_values(spec, pts)
+    rows = degree_values_rows(spec.coeffs, pts)
     assert rows.shape == (7, 40)
     assert np.max(np.abs(rows.sum(axis=0) - evaluate_spectrum(spec, pts))) < 1e-13
     basis = _real_basis(6, pts)
@@ -368,7 +368,7 @@ def test_mode_round_trip(grid16):
         assert np.max(np.abs(got - unit[j])) < 1e-13, j
 
 
-def test_live_degrees_skip_odd_and_negligible():
+def test_live_modes_skip_negligible():
     coeffs = np.zeros(36)
     coeffs[0] = 1.0        # degree 0
     coeffs[2] = 0.5        # degree 1
@@ -376,9 +376,7 @@ def test_live_degrees_skip_odd_and_negligible():
     coeffs[20] = -0.3      # degree 4
     coeffs[30] = 1e-3      # degree 5
     spec = HarmonicSpectrum(5, coeffs)
-    assert spec.live_degrees() == [0, 1, 4, 5]
-    assert spec.live_degrees(even_only=True) == [0, 4]
-    assert spec.live_modes(even_only=True) == [0, 20]
+    assert spec.live_modes() == [0, 2, 20, 30]
 
 
 def test_antipodal_residual_even_vs_odd(grid16):
