@@ -12,8 +12,9 @@ where Q_k^m = sqrt((2k+1)/(4 pi) * (k-m)!/(k+m)!) * P_k^m (P_k^m without the
 (-1)^m phase).  Coefficients are stored flat with index k*k + k + m.
 
 Analysis (``analyze_rows``), synthesis and point evaluation
-(``degree_values_rows``) all contract the Legendre table with complex (k, |m|) blocks of the flat
-coefficients, blocked by order m as in SHTns (Schaeffer, G^3 2013).
+(``degree_values_rows``) all contract the Legendre table with complex
+(k, |m|) blocks of the flat coefficients, blocked by order m as in SHTns
+(Schaeffer, G^3 2013).
 """
 
 from __future__ import annotations
