@@ -67,9 +67,7 @@ from .exprlang import (
     check_angular_even,
     evaluate,
     parse_expr,
-    pretty_print,
     radial_context,
-    sinogram_context,
 )
 from .config import ScenarioConfig, load_config
 from .reports import emit_report, report_schema, validate_report
@@ -84,7 +82,7 @@ _LAZY = {
         "SeparableFunction", "Sinogram", "catalog_entry",
         "certify_intersection_function", "classification_witness",
         "dual_radon", "fourier_1d", "intersection_function_of",
-        "inverse_fourier_1d", "mollified_ball", "radon_direct_point",
+        "mollified_ball", "radon_direct_point",
         "radon_transform", "separable_power", "separable_radial",
         "symmetric_nodes",
     ),

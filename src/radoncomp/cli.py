@@ -138,10 +138,9 @@ def _run_slicing(cfg, out, scale):
     grid = _grid(cfg)
     f = _angular_fn(cfg, "f", grid)
     rep = slicing_check(f, cfg.p, lower_branch=cfg.lower_branch)
-    cert = certify_pd_r1(f, cfg.p - 1.0)
     write_sphere_csv(out / "f.csv", f)
     code = EXIT_OK if (rep.hypothesis_holds and rep.holds) else EXIT_HYPOTHESIS
-    return (code, [cert.to_json_dict()],
+    return (code, [rep.certificate.to_json_dict()],
             {"lp_f": rep.lhs, "bound": rep.rhs},
             {"slicing": rep.margin},
             {}, f"extremal value {rep.extremal_value!r} at direction "
@@ -219,13 +218,13 @@ def _run_certify_intersection(cfg, out, scale):
         rel_tol=cfg.tol("rel_tol", 1e-9, scale),
         tail_tol=cfg.tol("tail_tol", 1e-6, scale),
         tail_correction=cfg.tail_correction)
-    worst = min(cert.per_direction, key=lambda c: c.witness_value)
-    omega, mhat = worst.transform_data
-    write_transform_csv(out / "transform_worst_direction.csv", omega, mhat)
+    d = int(np.argmin(cert.minima))                 # the lowest row
+    write_transform_csv(out / "transform_worst_direction.csv", cert.omega,
+                        cert.mhat[d])
     code = EXIT_OK if cert.is_intersection_function else EXIT_HYPOTHESIS
     return (code, [cert.to_json_dict()],
             {},
-            {"positivity": float(worst.witness_value)},
+            {"positivity": float(cert.minima[d])},
             {}, f"verdict {cert.verdict}")
 
 

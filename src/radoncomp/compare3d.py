@@ -40,7 +40,6 @@ from .errors import (
     TailTooHeavy,
 )
 from .radon3d import (
-    PAIRING_CONSTANT,
     DEFAULT_T_MAX,
     IntersectionCertificate,
     RadialProfile,
@@ -143,15 +142,13 @@ def _sinogram_pair(phi: SeparableFunction, psi: SeparableFunction):
 
 def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
                         weights: np.ndarray) -> float:
-    """PAIRING_CONSTANT * int_{S^2} int_R Rf(t, theta) mu_theta(t) dt dtheta,
-    with one spline over all rows, on the measures' one frequency grid."""
-    omega = cert.per_direction[0].transform_data[0]
-    mhat = np.array([c.transform_data[1] for c in cert.per_direction])
+    """cert.pairing of Rf, with one spline over all rows onto the measures'
+    frequency grid (zero outside the offset range)."""
+    omega = cert.omega
     inside = (omega >= sino.t[0]) & (omega <= sino.t[-1])
     vals = np.zeros((len(sino.values), len(omega)))
     vals[:, inside] = cubic_spline(sino.t, sino.values)(omega[inside])
-    return PAIRING_CONSTANT * float(
-        weights @ np.trapezoid(vals * mhat, omega, axis=1))
+    return cert.pairing(vals, weights)
 
 
 def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
@@ -355,16 +352,13 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
             f"p = {p}; the comparison theorem applies and no counterexample "
             "exists"
         )
-    n_failing = sum(c.verdict == "not-positive-definite"
-                    for c in cert.per_direction)
     grid = psi.grid
     # direction average with the verifier's hemisphere weights; a radial
     # certificate has one direction, whose transform is taken as it is
-    mhats = np.array([c.transform_data[1] for c in cert.per_direction])
     w_dir = 2.0 * grid.weights[hemisphere_indices(grid)] \
-        if len(mhats) > 1 else np.ones(1)
-    omega = cert.per_direction[0].transform_data[0]
-    mhat = w_dir @ mhats / w_dir.sum()
+        if len(cert.mhat) > 1 else np.ones(1)
+    omega = cert.omega
+    mhat = w_dir @ cert.mhat / w_dir.sum()
     t_star, half = _negative_window(omega, mhat)
 
     # lattice search for the most negative int w h
@@ -423,7 +417,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
         conclusion_holds=False, hypothesis_holds=False,
         chain={"eta": eta, "bump_pairing": ip, "norm_gap": gap,
                "bump_center": t0, "bump_width": sigma,
-               "n_failing_directions": float(n_failing)},
+               "n_failing_directions": float(cert.failing.sum())},
         notes="counterexample: domination holds while |phi|_p > |psi|_p",
         sinograms=(r_phi, r_psi),
     )

@@ -9,12 +9,12 @@ Grammar (recursive descent, 1-based source positions):
     atom    := number | identifier | identifier '(' args ')' | '(' expr ')'
 
 Variables are context-bound: angular expressions see x, y, z (a point on the
-unit sphere), radial expressions see r, sinogram expressions see t.  Built-in
-functions: exp, erf, abs, min, max, legendre(k, u), gauss(width) (a unit-peak
-Gaussian of the context's domain variable), bump(a, b) (a smooth bump of the
-domain variable, supported on [a, b], peak 1).  Catalog entries are bound by
-name with hyphens written as underscores (gauss_r2, erf_type, exp_ell,
-cauchy_ell, gamma_q(q)) and evaluate their radial closed forms.
+unit sphere), radial expressions see r.  Built-in functions: exp, erf, abs,
+min, max, legendre(k, u), gauss(width) (a unit-peak Gaussian of the
+context's domain variable), bump(a, b) (a smooth bump of the domain variable,
+supported on [a, b], peak 1).  Catalog entries are bound by name with hyphens
+written as underscores (gauss_r2, erf_type, exp_ell, cauchy_ell, gamma_q(q))
+and evaluate their radial closed forms.
 
 Angular expressions are additionally checked for evenness by antipodal
 comparison at 64 deterministic sample points (tolerance 1e-10).
@@ -32,8 +32,8 @@ from .sphere import erf, legendre
 
 __all__ = [
     "ExprAst", "Num", "Var", "Unary", "BinOp", "Call",
-    "parse_expr", "pretty_print", "evaluate",
-    "angular_context", "radial_context", "sinogram_context",
+    "parse_expr", "evaluate",
+    "angular_context", "radial_context",
     "check_angular_even",
 ]
 
@@ -231,41 +231,6 @@ def parse_expr(src: str) -> ExprAst:
 
 
 # ----------------------------------------------------------------------------
-# Pretty printer (round-trips: parse(pretty_print(ast)) == ast)
-# ----------------------------------------------------------------------------
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _pp(node: ExprAst, parent_prec: int, right_side: bool) -> str:
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Call):
-        return node.func + "(" + ", ".join(
-            _pp(a, 0, False) for a in node.args) + ")"
-    if isinstance(node, Unary):
-        s = "-" + _pp(node.operand, _PREC["neg"], False)
-        return f"({s})" if parent_prec > _PREC["neg"] or (
-            parent_prec == _PREC["neg"] and right_side) else s
-    assert isinstance(node, BinOp)
-    prec = _PREC[node.op]
-    if node.op == "^":                          # right-associative
-        s = _pp(node.left, prec + 1, False) + " ^ " \
-            + _pp(node.right, prec, False)
-    else:
-        s = _pp(node.left, prec, False) + f" {node.op} " \
-            + _pp(node.right, prec + 1, True)
-    return f"({s})" if parent_prec > prec or (
-        parent_prec == prec and right_side) else s
-
-
-def pretty_print(ast: ExprAst) -> str:
-    return _pp(ast, 0, False)
-
-
-# ----------------------------------------------------------------------------
 # Evaluation contexts
 # ----------------------------------------------------------------------------
 
@@ -294,10 +259,6 @@ def angular_context(x, y, z) -> EvalContext:
 
 def radial_context(r) -> EvalContext:
     return EvalContext({"r": np.asarray(r, float)}, domain_var="r")
-
-
-def sinogram_context(t) -> EvalContext:
-    return EvalContext({"t": np.asarray(t, float)}, domain_var="t")
 
 
 def _const_value(node: ExprAst) -> float:

@@ -258,6 +258,7 @@ def construct_counterexample_spherical(base: SphericalFunction, p: float,
 
     sign = -1.0 if p > 1.0 else +1.0  # f = g - eps*phi  |  g = f + eps*phi
     eps = 0.5 * base.min() / max(phi.max_abs(), 1e-300)
+    r_base = sradon_map(base)
     attempts = []
     for _ in range(21):                  # the first epsilon and 20 halvings
         cand_vals = base.values + sign * eps * phi.values
@@ -267,7 +268,6 @@ def construct_counterexample_spherical(base: SphericalFunction, p: float,
             eps *= 0.5
             continue
         cand.spectrum = analyze(cand, l_max)
-        r_base = sradon_map(base)
         r_cand = sradon_map(cand)
         if p > 1.0:
             f_fun, g_fun, rf, rg = cand, base, r_cand, r_base
@@ -307,8 +307,12 @@ class SlicingReport:
     margin: float
     extremal_direction: np.ndarray
     extremal_value: float
-    hypothesis_holds: bool
+    certificate: PDCertificate      # of f^{p-1} r^{-1}
     lower_branch: bool
+
+    @property
+    def hypothesis_holds(self) -> bool:
+        return self.certificate.is_positive_definite
 
     @property
     def holds(self) -> bool:
@@ -329,7 +333,6 @@ def slicing_check(f: SphericalFunction, p: float,
     if f.min() <= 0.0:
         raise NotPositive("f must be strictly positive")
     cert = certify_pd_r1(f, p - 1.0)
-    hypothesis = cert.is_positive_definite
     rspec = sradon_spectral(_spectrum_of(f))
     rf = synthesize(rspec, f.grid, parity="even")
     i_best = first_minimum(rf.values if lower_branch else -rf.values,
@@ -339,7 +342,7 @@ def slicing_check(f: SphericalFunction, p: float,
     lhs = lp_norm_sphere(f, p)
     rhs = FOUR_PI ** (1.0 / p) / TWO_PI * val
     margin = (rhs - lhs) if not lower_branch else (lhs - rhs)
-    return SlicingReport(p, lhs, rhs, margin, node, val, hypothesis, lower_branch)
+    return SlicingReport(p, lhs, rhs, margin, node, val, cert, lower_branch)
 
 
 def intersection_body_of(body: StarBody) -> StarBody:

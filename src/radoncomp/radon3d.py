@@ -18,7 +18,7 @@ Conventions (used consistently across the package):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -56,7 +56,6 @@ __all__ = [
     "IntersectionCertificate",
     "symmetric_nodes",
     "fourier_1d",
-    "inverse_fourier_1d",
     "radial_profile",
     "separable_radial",
     "separable_from_polar_samples",
@@ -105,22 +104,21 @@ def symmetric_nodes(n: int = DEFAULT_N, t_max: float = DEFAULT_T_MAX) -> np.ndar
 
 
 def fourier_1d(values: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Continuous-convention 1D transform dt * sum v_j exp(-i w_k t_j).
+    """Continuous-convention 1D transform dt * sum v_j exp(-i w_k t_j) along
+    the last axis, so a (D, n) table transforms row by row in one call.
 
     Input on the symmetric_nodes grid; returns (omega, transform) on the
     matching centered frequency grid.  Real part returned (even real input).
     """
-    n = len(values)
-    spec = np.fft.fftshift(np.fft.fft(np.fft.ifftshift(values))) * dt
+    n = values.shape[-1]
+    # one complex copy, transformed and scaled in place: a (D, n) table's
+    # transient stays at three times the table
+    spec = np.fft.ifftshift(values, axes=-1).astype(complex)
+    np.fft.fft(spec, out=spec)
+    spec *= dt
     domega = 2.0 * math.pi / (n * dt)
     omega = (np.arange(n) - n // 2) * domega
-    return omega, spec.real
-
-
-def inverse_fourier_1d(values: np.ndarray, dt: float) -> np.ndarray:
-    """Inverse of fourier_1d back onto the symmetric_nodes grid (real part)."""
-    spec = np.fft.fftshift(np.fft.ifft(np.fft.ifftshift(values))) / dt
-    return spec.real
+    return omega, np.fft.fftshift(spec.real, axes=-1)
 
 
 # ----------------------------------------------------------------------------
@@ -671,7 +669,8 @@ def _by_degree(f: SeparableFunction, directions: np.ndarray, n_out: int,
     for b in f.blocks:
         ang = degree_values_rows(b.coeffs, directions)
         deg = HarmonicSpectrum.mode(len(ang) - 1, 0).degrees()
-        for k in np.unique(deg[b.coeffs.any(axis=1)]):
+        # a sorted set, not np.unique: np.unique loads numpy.ma
+        for k in sorted(set(deg[b.coeffs.any(axis=1)].tolist())):
             if k % 2 == 0 or not even_only:
                 rows = np.flatnonzero(b.coeffs[deg == k].any(axis=0))
                 prof = RadialProfile(b.samples[rows], f.r_max, b.profile.decay)
@@ -708,7 +707,11 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
             raise InputInvalid(
                 "radial profile has non-finite samples; plane integrals "
                 "need a profile that is finite everywhere, r = 0 included")
-    uniq, inv = np.unique(np.abs(np.asarray(t, dtype=float)), return_inverse=True)
+    # each distinct |t| once: sort, dedupe, and map back by searchsorted
+    t_abs = np.abs(np.asarray(t, dtype=float))
+    uniq = np.sort(t_abs)
+    uniq = uniq[np.r_[True, uniq[1:] != uniq[:-1]]]
+    inv = np.searchsorted(uniq, t_abs)
     values = _by_degree(phi, directions, len(t), lambda k, prof: (
         _radial_plane_integral(prof, uniq) if k == 0
         else _degree_plane_integral(prof, k, uniq))[:, inv])
@@ -893,29 +896,68 @@ def _degree_radial_fourier(profile: RadialProfile, k: int,
 
 @dataclass
 class IntersectionCertificate:
-    """Per-direction positive-definiteness verdicts for m_theta(r) = r^2 f^(r theta)."""
+    """Bochner test of every ray profile m_theta(r) = r^2 f^(r theta) at once.
 
-    verdict: str                     # "intersection-function" | "not-intersection-function"
-    per_direction: list
-    directions: np.ndarray
-    witness_direction: np.ndarray | None
-    extra: dict = field(default_factory=dict)
+    Row d of the (D, n) table mhat is the 1D transform of m_theta at
+    directions[d] on the frequency grid omega, which is also the density of
+    the ray measure mu_theta.  A row fails when its minimum lies below
+    -tolerance[d]; f is an intersection function when no row fails.
+    """
+
+    directions: np.ndarray           # (D, 3)
+    omega: np.ndarray                # (n,)
+    mhat: np.ndarray                 # (D, n)
+    tolerance: np.ndarray            # (D,)
+
+    def __post_init__(self):
+        self.lowest = np.argmin(self.mhat, axis=1)       # per row
+        self.minima = np.take_along_axis(self.mhat, self.lowest[:, None], 1)[:, 0]
+        self.failing = self.minima < -self.tolerance
 
     @property
     def is_intersection_function(self) -> bool:
-        return self.verdict == "intersection-function"
+        return not self.failing.any()
+
+    @property
+    def verdict(self) -> str:
+        return ("intersection-function" if self.is_intersection_function
+                else "not-intersection-function")
+
+    @property
+    def witness_direction(self) -> np.ndarray | None:
+        """The failing direction whose transform reaches lowest."""
+        if self.is_intersection_function:
+            return None
+        return self.directions[np.argmin(np.where(self.failing, self.minima,
+                                                  np.inf))]
+
+    @property
+    def per_direction(self) -> list:
+        """One PDCertificate per row, its transform a view of the table."""
+        return [PDCertificate(
+            "not-positive-definite" if bad else "positive-definite",
+            float(self.omega[i]), float(v), float(tol), (self.omega, row))
+            for i, v, tol, bad, row in zip(self.lowest, self.minima,
+                                           self.tolerance, self.failing,
+                                           self.mhat)]
 
     def to_json_dict(self) -> dict:
         """The report's certificate shape: the witness direction, and the
-        value and tolerance of the direction whose transform reaches lowest."""
-        worst = min(self.per_direction, key=lambda c: c.witness_value)
-        wp = self.witness_direction
+        value and tolerance of the row whose transform reaches lowest."""
+        wp, d = self.witness_direction, int(np.argmin(self.minima))
         return {
             "verdict": self.verdict,
             "witness_point": None if wp is None else [float(v) for v in wp],
-            "witness_value": float(worst.witness_value),
-            "tolerance": float(worst.tolerance),
+            "witness_value": float(self.minima[d]),
+            "tolerance": float(self.tolerance[d]),
         }
+
+    def pairing(self, values: np.ndarray, weights: np.ndarray) -> float:
+        """PAIRING_CONSTANT * int_{S^2} int_R v(t, theta) mu_theta(t) dt
+        dtheta for v sampled on omega, one row per quadrature direction
+        (weights); a radial certificate's one measure serves every row."""
+        return PAIRING_CONSTANT * float(
+            weights @ np.trapezoid(values * self.mhat, self.omega, axis=1))
 
 
 def ray_profile_samples(f: SeparableFunction, directions: np.ndarray,
@@ -942,8 +984,9 @@ def certify_intersection_function(f: SeparableFunction,
                                   rel_tol: float = 1e-9,
                                   tail_tol: float = 1e-6,
                                   tail_correction: bool = False) -> IntersectionCertificate:
-    """Bochner test per direction: m_theta positive definite iff its 1D
-    transform is non-negative (within -rel_tol * max).
+    """Bochner test for every direction at once: m_theta is positive
+    definite iff its 1D transform is non-negative (within -rel_tol * max of
+    its row), and all rows transform in one fourier_1d call.
 
     With tail_correction=True a profile decaying like c/r^2 (slower than the
     hard truncation gate allows) is admitted: the matched Cauchy profile
@@ -953,13 +996,8 @@ def certify_intersection_function(f: SeparableFunction,
     negativity.
     """
     f.require_finite()
-    if f.is_radial:
-        directions = np.array([[0.0, 0.0, 1.0]])
-        dir_source = "radial"
-    else:
-        idx = hemisphere_indices(f.grid)
-        directions = f.grid.nodes[idx]
-        dir_source = "hemisphere"
+    directions = np.array([[0.0, 0.0, 1.0]]) if f.is_radial \
+        else f.grid.nodes[hemisphere_indices(f.grid)]
     r_nodes, m = ray_profile_samples(f, directions, r_max, n)
     if not np.all(np.isfinite(m)):
         raise InputInvalid("the ray profile r^2 f^(r theta) has non-finite "
@@ -997,38 +1035,16 @@ def certify_intersection_function(f: SeparableFunction,
                 "ray profile tail remains heavy after removing its c/r^2 part; "
                 "enlarge r_max"
             )
-    certs = []
-    witness = None
-    witness_val = 0.0
-    kappa = 1.0 / (1.0 + r_nodes ** 2)
-    for d in range(len(directions)):
-        if tail_coeff[d] != 0.0:
-            # analytic split: transform of c/(1+r^2) is c pi e^{-|omega|}
-            omega, mhat = fourier_1d(m[d] - tail_coeff[d] * kappa, dt)
-            mhat = mhat + tail_coeff[d] * math.pi * np.exp(-np.abs(omega))
-        else:
-            omega, mhat = fourier_1d(m[d], dt)
-        tol = rel_tol * max(float(np.max(np.abs(mhat))), 1e-300)
-        i_min = int(np.argmin(mhat))
-        v_min = float(mhat[i_min])
-        # decaying transforms approach zero at the frequency-grid edge, so the
-        # minimum being ~0 is the generic positive case, not a borderline one
-        verdict = "not-positive-definite" if v_min < -tol else "positive-definite"
-        certs.append(PDCertificate(
-            verdict=verdict, witness_point=float(omega[i_min]),
-            witness_value=v_min, tolerance=tol,
-            transform_data=(omega, mhat),
-        ))
-        if verdict == "not-positive-definite" and v_min < witness_val:
-            witness_val = v_min
-            witness = directions[d]
-    return IntersectionCertificate(  # v_min < -tol < 0: a failure sets a witness
-        verdict="intersection-function" if witness is None
-        else "not-intersection-function",
-        per_direction=certs, directions=directions,
-        witness_direction=witness,
-        extra={"direction_source": dir_source, "r_max": r_max, "n": n},
-    )
+    # analytic split of the heavy rows: the transform of c/(1+r^2) is
+    # c pi e^{-|omega|}
+    heavy = tail_coeff != 0.0
+    m[heavy] -= tail_coeff[heavy, None] * (1.0 / (1.0 + r_nodes ** 2))
+    omega, mhat = fourier_1d(m, dt)
+    mhat[heavy] += tail_coeff[heavy, None] * math.pi * np.exp(-np.abs(omega))
+    # decaying transforms approach zero at the frequency-grid edge, so a
+    # minimum of ~0 is the generic positive case, not a borderline one
+    tol = rel_tol * np.maximum(np.max(np.abs(mhat), axis=1), 1e-300)
+    return IntersectionCertificate(directions, omega, mhat, tol)
 
 
 # ----------------------------------------------------------------------------
@@ -1124,12 +1140,12 @@ def intersection_function_of(g: Sinogram) -> tuple[SeparableFunction, dict]:
         _require_quadrature(g)
         directions = g.directions
         # transform each data row, extend evenly, expand in harmonics
-        ghat = np.array([fourier_1d(row, g.dt)[1][n_t // 2:] for row in g.values])
+        ghat = fourier_1d(g.values, g.dt)[1][:, n_t // 2:]
         coeffs = analyze_rows(g.grid, _full_direction_rows(g, ghat), _FIT_L_MAX)
         modes, deg = _live_modes(coeffs, _FIT_L_MAX)
         weighted = coeffs[modes] * _trapezoid_weights(s)
         radial = np.empty((len(modes), n_fine))
-        for k in np.unique(deg):                  # one j_k table per degree
+        for k in sorted(set(deg.tolist())):       # one j_k table per degree
             radial[deg == k] = (-1.0) ** (k // 2) * FOUR_PI / math.pi * (
                 weighted[deg == k] @ spherical_jn(k, np.outer(s, r_vals)))
         f = _modal_function(g.grid, _FIT_L_MAX, r_vals, "algebraic", modes,
@@ -1164,8 +1180,9 @@ def intersection_function_of(g: Sinogram) -> tuple[SeparableFunction, dict]:
 def _gaussian_test_battery(n_tests: int) -> list:
     """Even test functions: centered and symmetrized off-center Gaussians.
 
-    Each entry is (label, phi(points), Rphi(t_array, theta)) with closed-form
-    sinograms: R[e^{-|x-a|^2/w}](t, theta) = pi w e^{-(t - <a,theta>)^2 / w}.
+    Each entry is (label, phi(points), Rphi(t_array, thetas)), Rphi giving one
+    row per direction of thetas (D, 3), from the closed-form sinograms
+    R[e^{-|x-a|^2/w}](t, theta) = pi w e^{-(t - <a,theta>)^2 / w}.
     """
     battery = []
     widths = [0.5, 0.8, 1.0, 1.4, 2.0]
@@ -1184,7 +1201,7 @@ def _gaussian_test_battery(n_tests: int) -> list:
                         + np.exp(-np.sum((points + a) ** 2, axis=1) / w))
 
             def rphi(t, theta, w=w, a=a):
-                sh = float(np.dot(a, theta))
+                sh = (theta @ a)[:, None]            # one row per direction
                 return math.pi * w * (np.exp(-(t - sh) ** 2 / w)
                                       + np.exp(-(t + sh) ** 2 / w))
 
@@ -1213,14 +1230,10 @@ def classification_witness(f: SeparableFunction,
     idx = hemisphere_indices(grid)
     dir_nodes = grid.nodes[idx]
     w_dir = 2.0 * grid.weights[idx]
-    # measures: broadcast a single radial certificate over all directions
-    measures = []
-    per_dir = certificate.per_direction
-    radial_case = len(per_dir) == 1
-    for d in range(len(dir_nodes)):
-        cert = per_dir[0] if radial_case else per_dir[d]
-        omega, mhat = cert.transform_data
-        measures.append(RayMeasure(omega, mhat, dir_nodes[d]))
+    omega = certificate.omega
+    # a radial certificate's one measure serves every direction
+    rows = np.broadcast_to(certificate.mhat, (len(dir_nodes), len(omega)))
+    measures = [RayMeasure(omega, row, d) for row, d in zip(rows, dir_nodes)]
     # LHS quadrature nodes
     rg, wg = radial_gauss_legendre(DEFAULT_T_MAX, 400)
     pts = (rg[:, None, None] * grid.nodes[None, :, :]).reshape(-1, 3)
@@ -1230,12 +1243,7 @@ def classification_witness(f: SeparableFunction,
     for label, phi, rphi in _gaussian_test_battery(n_tests):
         phi_vals = phi(pts).reshape(len(rg), grid.n_nodes)
         lhs = float((wg * rg * rg) @ (f_vals * phi_vals) @ grid.weights)
-        rhs = 0.0
-        for d in range(len(dir_nodes)):
-            mu = measures[d]
-            vals = rphi(mu.t, dir_nodes[d])
-            rhs += w_dir[d] * np.trapezoid(vals * mu.density, mu.t)
-        rhs *= PAIRING_CONSTANT
+        rhs = certificate.pairing(rphi(omega, dir_nodes), w_dir)
         res = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         residuals[label] = res
         worst = max(worst, res)

@@ -305,13 +305,6 @@ class HarmonicSpectrum:
         """Multiply every degree-k block by factors[k]."""
         return HarmonicSpectrum(self.l_max, self.coeffs * factors[self.degrees()])
 
-    def truncated(self, l_max: int) -> "HarmonicSpectrum":
-        if l_max >= self.l_max:
-            out = np.zeros((l_max + 1) ** 2)
-            out[: self.coeffs.size] = self.coeffs
-            return HarmonicSpectrum(l_max, out)
-        return HarmonicSpectrum(l_max, self.coeffs[: (l_max + 1) ** 2].copy())
-
     def even_part_residual(self) -> float:
         """Relative size of odd-degree content (0 for an even function)."""
         scale = float(np.max(np.abs(self.coeffs))) or 1.0

@@ -113,7 +113,7 @@ _LOADED = (
     "def loaded():\n"
     "    print(sorted(m for m in sys.modules\n"
     "                 if m.split('.')[0] in ('scipy', 'jsonschema')\n"
-    "                 or m.split('.')[:2] in (['numpy', 'random'],\n"
+    "                 or m.split('.')[:2] in (['numpy', 'random'], ['numpy', 'ma'],\n"
     "                                         ['importlib', 'metadata'])))\n")
 
 
@@ -201,6 +201,25 @@ def test_lazy_exports_follow_the_module(monkeypatch):
     assert "certify_intersection_function" not in vars(radoncomp)
     with pytest.raises(AttributeError):
         radoncomp.no_such_name
+
+
+def test_slicing_run_certifies_once(tmp_path, monkeypatch):
+    # the report's certificate is the one slicing_check judged its
+    # hypothesis by, not a second certify_pd_r1 of the same f
+    from radoncomp import cli, funk, multipliers
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:])
+        return multipliers.certify_pd_r1(*args, **kwargs)
+
+    monkeypatch.setattr(funk, "certify_pd_r1", counted)
+    monkeypatch.setattr(cli, "certify_pd_r1", counted)
+    out = tmp_path / "out"
+    assert main(["slicing", "--config", str(CONFIG_DIR / "slicing.ini"),
+                 "--out", str(out)]) == 0
+    assert calls == [(1.0,)]
 
 
 def test_seed_key_is_echoed_not_read(tmp_path):

@@ -198,6 +198,21 @@ def test_counterexample_postconditions(grid16):
     assert rep.chain["norm_gap"] > 1e-8
 
 
+def test_counterexample_maps_base_once(grid16, monkeypatch):
+    # R(base) is taken once, before the epsilon halvings; an unreachable
+    # norm gap makes the search run all 21 of them
+    from radoncomp import funk
+
+    mapped = []
+    inner = funk.sradon_map
+    monkeypatch.setattr(funk, "sradon_map",
+                        lambda f: mapped.append(f) or inner(f))
+    base = zonal(grid16, 0.8)
+    with pytest.raises(ConstructionFailed):
+        construct_counterexample_spherical(base, 2.0, gap_tol=1e9)
+    assert len(mapped) == 22 and sum(f is base for f in mapped) == 1
+
+
 def test_counterexample_small_p_roles_swap(grid16):
     # at p = 1/4 the hypothesis is the -3/4 power of the base; a deep zonal
     # valley (base small near the poles) makes that power fail certification

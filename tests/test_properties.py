@@ -1,5 +1,5 @@
 """Randomized invariants checked with hypothesis: spectral round trips,
-multiplier duality, expression round trips, transform symmetries, the
+multiplier duality, transform symmetries, the
 elementwise erf and the catalog closed forms."""
 
 import functools
@@ -10,7 +10,6 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_even_spectrum
-from radoncomp.exprlang import parse_expr, pretty_print
 from radoncomp.multipliers import multiplier
 from radoncomp.radon3d import (
     SeparableFunction,
@@ -110,34 +109,6 @@ def test_funk_eigenvalue_identity(seed, k):
 def test_multiplier_duality_property(k, p):
     prod = multiplier(3, k, p) * multiplier(3, k, 3.0 - p)
     assert math.isclose(prod, (2.0 * math.pi) ** 3, rel_tol=1e-9)
-
-
-EXPR_LEAF = st.one_of(
-    st.floats(0.01, 9.99).map(lambda v: f"{v:.3f}"),
-    st.just("r"), st.just("pi"))
-
-
-def _expr(depth):
-    if depth == 0:
-        return EXPR_LEAF
-    sub = _expr(depth - 1)
-    return st.one_of(
-        EXPR_LEAF,
-        st.tuples(sub, st.sampled_from("+-*/"), sub).map(
-            lambda t: f"({t[0]} {t[1]} {t[2]})"),
-        st.tuples(sub, st.sampled_from(["2", "3"])).map(
-            lambda t: f"({t[0]} ^ {t[1]})"),
-        sub.map(lambda s: f"(-{s})"),
-        sub.map(lambda s: f"exp(-abs({s}))"),
-        st.tuples(sub, sub).map(lambda t: f"min({t[0]}, {t[1]})"),
-    )
-
-
-@given(src=_expr(3))
-@settings(**SETTINGS)
-def test_pretty_print_parse_fixed_point(src):
-    printed = pretty_print(parse_expr(src))
-    assert pretty_print(parse_expr(printed)) == printed
 
 
 @given(seed=st.integers(0, 2 ** 31 - 1))

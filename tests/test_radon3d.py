@@ -41,7 +41,6 @@ from radoncomp.radon3d import (
     fourier_along_rays,
     hemisphere_indices,
     intersection_function_of,
-    inverse_fourier_1d,
     mollified_ball,
     radial_profile,
     radon_direct_point,
@@ -80,14 +79,6 @@ def test_fourier_1d_gaussian_closed_form():
     omega, spec = fourier_1d(np.exp(-t * t), t[1] - t[0])
     ref = math.sqrt(math.pi) * np.exp(-omega * omega / 4.0)
     assert np.max(np.abs(spec - ref)) < 1e-12
-
-
-def test_fourier_1d_round_trip():
-    t = symmetric_nodes(512, 8.0)
-    vals = np.exp(-t * t) * (1.0 + np.cos(t))
-    _, spec = fourier_1d(vals, t[1] - t[0])
-    back = inverse_fourier_1d(spec, t[1] - t[0])
-    assert np.max(np.abs(back - vals)) < 1e-12
 
 
 # ----------------------------------------------------------------------------
@@ -644,6 +635,68 @@ def test_certify_json_shape(grid16):
                                "per_direction": [d_bad]}]
     with pytest.raises(jsonschema.ValidationError):
         validate_report(report)
+
+
+@pytest.mark.parametrize("d, n", [(1, 2048), (7, 2048), (256, 2048),
+                                  (3, 32768)])
+def test_fourier_1d_of_a_table_is_fourier_1d_of_each_row(d, n):
+    rng = np.random.default_rng(d)
+    t = symmetric_nodes(n, 16.0)
+    table = rng.standard_normal((d, n)) * np.exp(-t * t / 16.0)
+    omega, got = fourier_1d(table, 32.0 / n)
+    for row, want in zip(table, got):
+        om, one = fourier_1d(row, 32.0 / n)
+        assert np.array_equal(om, omega)
+        assert np.array_equal(one.view(np.int64), want.view(np.int64))
+
+
+def test_certificate_transforms_all_directions_in_one_call(grid16,
+                                                           monkeypatch):
+    from test_compare3d import _nonradial_psi
+
+    calls = []
+    inner = radon3d.fourier_1d
+
+    def counted(values, dt):
+        calls.append(np.shape(values))
+        return inner(values, dt)
+
+    monkeypatch.setattr(radon3d, "fourier_1d", counted)
+    cert = certify_intersection_function(_nonradial_psi(grid16))
+    assert calls == [(256, 2048)]
+    assert cert.mhat.shape == (256, 2048) and len(cert.per_direction) == 256
+
+
+def test_certificate_from_a_table():
+    # rows 0 and 2 fail; row 1 passes with a tolerance wide enough to cover
+    # the lowest dip of the table, row 3 passes with room to spare
+    omega = np.linspace(-2.0, 2.0, 5)
+    mhat = np.array([[1.0, -0.5, 2.0, 1.0, 0.0],
+                     [0.5, 1.0, 3.0, -4.0, 0.5],
+                     [1.0, 0.2, 2.0, -1.0, 0.0],
+                     [1.0, 1.0, 2.0, 1.0, 0.5]])
+    tolerance = np.array([0.1, 5.0, 0.1, 0.1])
+    directions = np.eye(4, 3)
+    cert = radon3d.IntersectionCertificate(directions, omega, mhat, tolerance)
+    assert cert.verdict == "not-intersection-function"
+    assert not cert.is_intersection_function
+    np.testing.assert_array_equal(cert.witness_direction, directions[2])
+    d = cert.to_json_dict()
+    assert d["witness_point"] == [0.0, 0.0, 1.0]
+    assert (d["witness_value"], d["tolerance"]) == (-4.0, 5.0)
+    per = cert.per_direction
+    assert [c.verdict for c in per] == ["not-positive-definite",
+                                        "positive-definite",
+                                        "not-positive-definite",
+                                        "positive-definite"]
+    assert [c.witness_value for c in per] == list(mhat.min(axis=1))
+    assert [c.witness_point for c in per] == [-1.0, 1.0, 1.0, 2.0]
+    np.testing.assert_array_equal(per[1].transform_data[1], mhat[1])
+    passing = radon3d.IntersectionCertificate(directions, omega, mhat[[1, 3]],
+                                              tolerance[[1, 3]])
+    assert passing.is_intersection_function
+    assert passing.witness_direction is None
+    assert passing.to_json_dict()["witness_value"] == -4.0
 
 
 # ----------------------------------------------------------------------------

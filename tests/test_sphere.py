@@ -321,16 +321,6 @@ def test_degrees_per_coefficient():
     assert list(spec.degrees()) == [0, 1, 1, 1, 2, 2, 2, 2, 2]
 
 
-def test_truncated_extend_and_cut():
-    spec = HarmonicSpectrum(2, np.arange(9.0))
-    cut = spec.truncated(1)
-    assert list(cut.coeffs) == [0.0, 1.0, 2.0, 3.0]
-    ext = spec.truncated(3)
-    assert ext.l_max == 3
-    assert list(ext.coeffs[:9]) == list(np.arange(9.0))
-    assert np.all(ext.coeffs[9:] == 0.0)
-
-
 def test_even_part_residual():
     rng = np.random.default_rng(3)
     even = random_even_spectrum(rng, 5)
