@@ -78,8 +78,8 @@ from .reports import emit_report, report_schema, validate_report
 _LAZY = {
     "radon3d": (
         "CATALOG_NAMES", "PAIRING_CONSTANT", "RELATION_CONSTANT",
-        "IntersectionCertificate", "RadialProfile", "RayMeasure",
-        "SeparableFunction", "Sinogram", "catalog_entry",
+        "IntersectionCertificate", "RadialProfile", "SeparableFunction",
+        "Sinogram", "catalog_entry",
         "certify_intersection_function", "classification_witness",
         "dual_radon", "fourier_1d", "intersection_function_of",
         "mollified_ball", "radon_direct_point",

@@ -27,6 +27,7 @@ from .config import SCENARIO_KINDS, ScenarioConfig, load_config
 from .errors import (
     ConstructionFailed,
     DominationFails,
+    InputInvalid,
     NotApplicable,
     RadoncompError,
 )
@@ -298,6 +299,9 @@ _RUNNERS = {
 def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None,
                  tol_scale: float = 1.0) -> int:
     """Run one scenario end to end; writes report.json, manifest.json, CSVs."""
+    if not 0.0 < tol_scale < math.inf:
+        raise InputInvalid(f"--tol-scale must be finite and above 0, got "
+                           f"{tol_scale}")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()

@@ -4,20 +4,22 @@ Sections:
 
     [scenario]   kind (one of the nine scenario kinds), p, q, catalog,
                  lower_branch, tail_correction
-    [grid]       n_polar, n_azimuth, n_t, r_max
+    [grid]       n_polar, n_azimuth, n_t (at least 7), r_max (above 0)
     [functions]  expression-valued entries (parsed and checked at load time)
     [tolerances] rel_tol, gap_tol, chain_tol, tail_tol, catalog_tol: optional
-                 overrides, scaled by --tol-scale at run time
+                 overrides above 0, scaled by --tol-scale at run time
     [output]     dir
 
-Any other section or key is refused, since nothing would read it.  Every
-expression referenced by the scenario is parsed — and angular
-expressions are checked for evenness — before any computation starts.
+Any other section or key is refused, since nothing would read it, and so is
+a number that is not finite.  Every expression referenced by the scenario is
+parsed — and angular expressions are checked for evenness — before any
+computation starts.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,14 +104,26 @@ _KEYS = {"scenario": ("kind", "catalog", "seed", *_TYPED_KEYS["scenario"]),
          "output": ("dir",)}
 
 
+# Exclusive lower bounds, by key or else by section: every tolerance and
+# r_max lie above 0, and n_t above 6, since ray_profile_samples extrapolates
+# m(0) from the first three positive offsets.
+_ABOVE = {"tolerances": 0.0, "r_max": 0.0, "n_t": 6}
+
+
 def _typed(section: configparser.SectionProxy, key: str, like):
-    """section[key] as the type of `like`, or InputInvalid naming the key."""
+    """section[key] as the type of `like`, finite and above its bound in
+    _ABOVE, or InputInvalid naming the key."""
     kind = type(like)
     try:
-        return section.getboolean(key) if kind is bool else kind(section[key])
+        value = section.getboolean(key) if kind is bool else kind(section[key])
     except ValueError:
         raise InputInvalid(f"[{section.name}] {key} = {section[key]!r} is not "
                            f"a valid {kind.__name__}") from None
+    bound = _ABOVE.get(key, _ABOVE.get(section.name, -math.inf))
+    if not bound < value < math.inf:
+        raise InputInvalid(f"[{section.name}] {key} = {value} must be finite"
+                           + ("" if bound == -math.inf else f" and above {bound}"))
+    return value
 
 
 def _check_keys(parser: configparser.ConfigParser) -> None:

@@ -168,20 +168,17 @@ class _Parser:
             raise ExprSyntaxError(f"unexpected {self.cur.text!r}", self.cur.pos)
         return node
 
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.cur
-            self.i += 1
-            node = BinOp(op.pos, op.text, node, self.term())
-        return node
+    def expr(self, ops: str = "+-") -> ExprAst:
+        """A left-associative chain: a sum ('+-') of products ('*/') of
+        unaries."""
+        def operand():
+            return self.unary() if ops == "*/" else self.expr("*/")
 
-    def term(self) -> ExprAst:
-        node = self.unary()
-        while self.cur.kind == "op" and self.cur.text in "*/":
+        node = operand()
+        while self.cur.kind == "op" and self.cur.text in ops:
             op = self.cur
             self.i += 1
-            node = BinOp(op.pos, op.text, node, self.unary())
+            node = BinOp(op.pos, op.text, node, operand())
         return node
 
     def unary(self) -> ExprAst:
@@ -234,18 +231,6 @@ def parse_expr(src: str) -> ExprAst:
 # Evaluation contexts
 # ----------------------------------------------------------------------------
 
-def _catalog_radial(name: str):
-    from .radon3d import catalog_entry
-
-    f = catalog_entry(name).f
-    return lambda r: f(np.abs(np.ravel(r))[:, None] * [0.0, 0.0, 1.0]).reshape(
-        np.shape(r))
-
-
-_CATALOG_UNDERSCORE = {"gauss_r2": "gauss-r2", "erf_type": "erf-type",
-                       "exp_ell": "exp-ell", "cauchy_ell": "cauchy-ell"}
-
-
 @dataclass
 class EvalContext:
     variables: dict                   # name -> array
@@ -261,24 +246,35 @@ def radial_context(r) -> EvalContext:
     return EvalContext({"r": np.asarray(r, float)}, domain_var="r")
 
 
+# The binary operators of both evaluators: on arrays in _evaluate, and on
+# NumPy scalars in _const_value, where 1/0 or an overflow folds to inf or nan
+# for the finiteness check instead of raising.
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power}
+# Built-ins applied elementwise to their evaluated arguments: (arity, function).
+_FUNCTIONS = {"exp": (1, np.exp), "erf": (1, erf), "abs": (1, np.abs),
+              "min": (2, np.minimum), "max": (2, np.maximum)}
+# The largest degree legendre(k, u) takes: its recurrence runs k steps.
+_MAX_DEGREE = 1000
+
+
 def _const_value(node: ExprAst) -> float:
-    """Fold a constant sub-expression (for function parameters like degrees)."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Unary):
-        return -_const_value(node.operand)
-    if isinstance(node, BinOp):
-        a, b = _const_value(node.left), _const_value(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        return a ** b
-    raise ExprSyntaxError("expected a constant expression", node.pos)
+    """Fold a constant argument (a degree, width, bound or q) with the
+    evaluator's operators; InputInvalid unless the result is finite."""
+    def fold(node):
+        if isinstance(node, Num):
+            return np.float64(node.value)
+        if isinstance(node, Unary):
+            return -fold(node.operand)
+        if isinstance(node, BinOp):
+            return _BINARY[node.op](fold(node.left), fold(node.right))
+        raise ExprSyntaxError("expected a constant expression", node.pos)
+
+    value = float(fold(node))
+    if not math.isfinite(value):
+        raise InputInvalid(f"constant argument at position {node.pos} is "
+                           f"{value}, not a finite number")
+    return value
 
 
 def _require_arity(node: Call, n: int) -> None:
@@ -286,6 +282,28 @@ def _require_arity(node: Call, n: int) -> None:
         raise ArityError(
             f"{node.func} takes {n} argument{'s' if n != 1 else ''}, "
             f"got {len(node.args)}", node.pos)
+
+
+def _catalog(ast: Var | Call, ctx: EvalContext) -> np.ndarray:
+    """The radial closed form u(|r|) of the catalog entry that ast names,
+    hyphens written as underscores (gamma_q(q) passes q); UnknownIdentifier
+    when it names none."""
+    from .radon3d import CATALOG_NAMES, catalog_entry
+
+    is_var = isinstance(ast, Var)
+    name = (ast.name if is_var else ast.func).replace("_", "-")
+    if name not in CATALOG_NAMES:
+        raise UnknownIdentifier(
+            f"unknown variable {ast.name!r} (available: "
+            f"{', '.join(sorted(ctx.variables))})" if is_var
+            else f"unknown function {ast.func!r}", ast.pos)
+    if ctx.domain_var != "r":
+        raise InputInvalid(f"catalog entry {name!r} is a radial profile; it "
+                           "is only available in radial expressions")
+    if not is_var:
+        _require_arity(ast, 1)
+        name += f"({_const_value(ast.args[0])})"
+    return catalog_entry(name).f.blocks[0].profile(np.abs(ctx.variables["r"]))
 
 
 def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
@@ -298,64 +316,31 @@ def evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
 
 def _evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
     if isinstance(ast, Num):
-        return np.full_like(next(iter(ctx.variables.values()), np.zeros(1)),
-                            ast.value, dtype=float) \
-            if ctx.variables else np.array(ast.value)
+        return np.full_like(next(iter(ctx.variables.values())), ast.value,
+                            dtype=float)
     if isinstance(ast, Var):
         if ast.name == "pi":
-            some = next(iter(ctx.variables.values()))
-            return np.full_like(some, math.pi, dtype=float)
-        if ast.name not in ctx.variables:
-            cat = _CATALOG_UNDERSCORE.get(ast.name)
-            if cat is not None:
-                if ctx.domain_var != "r":
-                    raise InputInvalid(
-                        f"catalog entry {cat!r} is a radial profile; it is "
-                        "only available in radial expressions")
-                return _catalog_radial(cat)(ctx.variables["r"])
-            raise UnknownIdentifier(
-                f"unknown variable {ast.name!r} (available: "
-                f"{', '.join(sorted(ctx.variables))})", ast.pos)
-        return ctx.variables[ast.name].astype(float)
+            return _evaluate(Num(ast.pos, math.pi), ctx)
+        if ast.name in ctx.variables:
+            return ctx.variables[ast.name].astype(float)
+        return _catalog(ast, ctx)
     if isinstance(ast, Unary):
         return -_evaluate(ast.operand, ctx)
     if isinstance(ast, BinOp):
-        a = _evaluate(ast.left, ctx)
-        b = _evaluate(ast.right, ctx)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            return a / b
-        return np.power(a, b)
+        return _BINARY[ast.op](_evaluate(ast.left, ctx),
+                               _evaluate(ast.right, ctx))
     assert isinstance(ast, Call)
     name = ast.func
-    if name == "exp":
-        _require_arity(ast, 1)
-        return np.exp(_evaluate(ast.args[0], ctx))
-    if name == "erf":
-        _require_arity(ast, 1)
-        return erf(_evaluate(ast.args[0], ctx))
-    if name == "abs":
-        _require_arity(ast, 1)
-        return np.abs(_evaluate(ast.args[0], ctx))
-    if name == "min":
-        _require_arity(ast, 2)
-        return np.minimum(_evaluate(ast.args[0], ctx),
-                          _evaluate(ast.args[1], ctx))
-    if name == "max":
-        _require_arity(ast, 2)
-        return np.maximum(_evaluate(ast.args[0], ctx),
-                          _evaluate(ast.args[1], ctx))
+    if name in _FUNCTIONS:
+        arity, fn = _FUNCTIONS[name]
+        _require_arity(ast, arity)
+        return fn(*(_evaluate(arg, ctx) for arg in ast.args))
     if name == "legendre":
         _require_arity(ast, 2)
         k = _const_value(ast.args[0])
-        if k != int(k) or k < 0:
-            raise InputInvalid(f"legendre degree must be a non-negative "
-                               f"integer, got {k}")
+        if k != int(k) or not 0 <= k <= _MAX_DEGREE:
+            raise InputInvalid(f"legendre degree must be an integer in "
+                               f"[0, {_MAX_DEGREE}], got {k}")
         return legendre(int(k), _evaluate(ast.args[1], ctx))
     if name == "gauss":
         _require_arity(ast, 1)
@@ -376,14 +361,7 @@ def _evaluate(ast: ExprAst, ctx: EvalContext) -> np.ndarray:
         inside = np.abs(u) < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - u[inside] ** 2))
         return out
-    if name == "gamma_q":
-        _require_arity(ast, 1)
-        q = _const_value(ast.args[0])
-        if ctx.domain_var != "r":
-            raise InputInvalid("catalog entry 'gamma-q' is a radial profile; "
-                               "it is only available in radial expressions")
-        return _catalog_radial(f"gamma-q({q})")(ctx.variables["r"])
-    raise UnknownIdentifier(f"unknown function {name!r}", ast.pos)
+    return _catalog(ast, ctx)
 
 
 def check_angular_even(ast: ExprAst) -> None:

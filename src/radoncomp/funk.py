@@ -16,6 +16,7 @@ from .errors import (
     DominationFails,
     NotApplicable,
     NotPositive,
+    OutOfRange,
 )
 from .multipliers import (
     REL_TOL,
@@ -235,8 +236,11 @@ def construct_counterexample_spherical(base: SphericalFunction, p: float,
     negative, so that R(constructed side) differs from R(base) by
     -(2 pi)^3 / pi * eps * psi, a signed quantity by construction.
     """
-    if not (p > 1.0 or 0.0 < p < 1.0):
-        raise ValueError(f"p must be in (0,1) or (1,inf), got {p}")
+    if not p > 0.0:
+        raise OutOfRange(f"p must be positive, got {p}")
+    if p == 1.0:
+        raise NotApplicable("at p = 1 the comparison always holds under "
+                            "domination; no counterexample exists")
     base.require_finite("base")
     if base.min() <= 0.0:
         raise NotPositive("base function must be strictly positive")

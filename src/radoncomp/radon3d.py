@@ -52,7 +52,6 @@ __all__ = [
     "SeparableFunction",
     "RowBlock",
     "Sinogram",
-    "RayMeasure",
     "IntersectionCertificate",
     "symmetric_nodes",
     "fourier_1d",
@@ -296,6 +295,15 @@ def radial_profile(fn: Callable | None = None, samples=None,
             raise InputInvalid("radial_profile needs an evaluator or samples")
         samples = fn(np.linspace(0.0, r_max, n))
     return RadialProfile(np.asarray(samples, float), r_max, decay, fn)
+
+
+def _with_origin(u: Callable, u0: float) -> Callable:
+    """r -> u(r) for r > 0 and the limit u0 at r <= 0; u never sees r = 0."""
+    def at(r):
+        r = np.asarray(r, float)
+        with np.errstate(divide="ignore"):
+            return np.where(r > 0.0, u(np.maximum(r, 1e-300)), u0)
+    return at
 
 
 def _constant_angular(grid: SphereGrid) -> SphericalFunction:
@@ -587,18 +595,6 @@ class Sinogram:
         dt = float(header["dt"])
         t = (np.arange(n_t) - n_t // 2) * dt
         return Sinogram(t, np.array(dirs), np.array(rows))
-
-
-@dataclass
-class RayMeasure:
-    """Density samples of an even non-negative measure on the offset grid."""
-
-    t: np.ndarray
-    density: np.ndarray
-    direction: np.ndarray
-
-    def nonnegativity_margin(self) -> float:
-        return float(np.min(self.density)) / max(float(np.max(self.density)), 1e-300)
 
 
 # ----------------------------------------------------------------------------
@@ -1084,14 +1080,10 @@ def dual_radon(g: Sinogram, n_r: int = 128) -> SeparableFunction:
         # radial reduction: f(r) = (2 pi / r) * int_{-r}^{r} g0(s) ds
         spline = _integral_spline(g.t, g.values[0])
         t_lo, t_hi = float(g.t[0]), float(g.t[-1])
-
-        def f_eval(r):
-            r = np.asarray(r, dtype=float)
-            hi = spline(np.clip(r, t_lo, t_hi))
-            lo = spline(np.clip(-r, t_lo, t_hi))
-            return np.where(r > 0.0, TWO_PI * (hi - lo) / np.maximum(r, 1e-300),
-                            FOUR_PI * float(spline(0.0, 1)))
-
+        f_eval = _with_origin(
+            lambda r: TWO_PI * (spline(np.clip(r, t_lo, t_hi))
+                                - spline(np.clip(-r, t_lo, t_hi))) / r,
+            FOUR_PI * float(spline(0.0, 1)))
         return separable_radial(f_eval, build_grid(16, 32), r_max=r_max,
                                 n=max(n_r, 256), decay="algebraic")
     _require_quadrature(g)
@@ -1212,11 +1204,12 @@ def _gaussian_test_battery(n_tests: int) -> list:
 
 def classification_witness(f: SeparableFunction,
                            certificate: IntersectionCertificate,
-                           n_tests: int = 10) -> tuple[list, dict]:
-    """Ray measures mu_theta realizing integral f*phi as a sinogram pairing.
+                           n_tests: int = 10) -> dict:
+    """Residuals of integral f*phi as a pairing with the ray measures.
 
-    mu_theta is the 1D transform of m_theta (non-negative by certification);
-    for every test function phi,
+    mu_theta, the 1D transform of m_theta (non-negative by certification),
+    has the certificate's row mhat[d] as its density; for every test
+    function phi,
         integral f phi dx = PAIRING_CONSTANT * int_{S^2} int_R Rphi(t, theta)
                             mu_theta(t) dt dtheta,
     the constant fixed once (Gaussian calibration) and reused for all phi.
@@ -1230,10 +1223,6 @@ def classification_witness(f: SeparableFunction,
     idx = hemisphere_indices(grid)
     dir_nodes = grid.nodes[idx]
     w_dir = 2.0 * grid.weights[idx]
-    omega = certificate.omega
-    # a radial certificate's one measure serves every direction
-    rows = np.broadcast_to(certificate.mhat, (len(dir_nodes), len(omega)))
-    measures = [RayMeasure(omega, row, d) for row, d in zip(rows, dir_nodes)]
     # LHS quadrature nodes
     rg, wg = radial_gauss_legendre(DEFAULT_T_MAX, 400)
     pts = (rg[:, None, None] * grid.nodes[None, :, :]).reshape(-1, 3)
@@ -1243,13 +1232,12 @@ def classification_witness(f: SeparableFunction,
     for label, phi, rphi in _gaussian_test_battery(n_tests):
         phi_vals = phi(pts).reshape(len(rg), grid.n_nodes)
         lhs = float((wg * rg * rg) @ (f_vals * phi_vals) @ grid.weights)
-        rhs = certificate.pairing(rphi(omega, dir_nodes), w_dir)
+        rhs = certificate.pairing(rphi(certificate.omega, dir_nodes), w_dir)
         res = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         residuals[label] = res
         worst = max(worst, res)
-    report = {"per_test": residuals, "max_residual": worst,
-              "pairing_constant": PAIRING_CONSTANT}
-    return measures, report
+    return {"per_test": residuals, "max_residual": worst,
+            "pairing_constant": PAIRING_CONSTANT}
 
 
 # ----------------------------------------------------------------------------
@@ -1292,6 +1280,25 @@ def _catalog_fhat(h: Callable) -> Callable:
     return fhat
 
 
+# The algebraically decaying closed-form entries, one row each: f = u(|x|)
+# for r > 0, its limit u(0), the interior ray profile h (m = 8 pi^2 h), the
+# radial sinogram row g0 and the transform of m.
+_CLOSED_FORMS = {
+    "erf-type": (lambda r: TWO_PI * erf(r / 2.0) / r, 2.0 * math.sqrt(math.pi),
+                 lambda r: np.exp(-r ** 2),
+                 lambda t: np.exp(-t ** 2 / 4.0) / (2.0 * math.sqrt(math.pi)),
+                 lambda t: 8.0 * math.pi ** 2.5 * np.exp(-t ** 2 / 4.0)),
+    "exp-ell": (lambda r: 4.0 * np.arctan(r) / r, 4.0,
+                lambda r: np.exp(-np.abs(r)),
+                lambda t: 1.0 / (math.pi * (1.0 + t ** 2)),
+                lambda t: 16.0 * math.pi ** 2 / (1.0 + t ** 2)),
+    "cauchy-ell": (lambda r: TWO_PI * (1.0 - np.exp(-r)) / r, TWO_PI,
+                   lambda r: 1.0 / (1.0 + r ** 2),
+                   lambda t: np.exp(-np.abs(t)) / 2.0,
+                   lambda t: 8.0 * math.pi ** 3 * np.exp(-np.abs(t))),
+}
+
+
 def catalog_entry(name: str, grid: SphereGrid | None = None,
                   r_max: float = DEFAULT_T_MAX,
                   n: int = DEFAULT_N) -> CatalogEntry:
@@ -1310,13 +1317,15 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
     """
     if grid is None:
         grid = build_grid(16, 32)
+    if name in _CLOSED_FORMS:
+        u, u0, *closed = _CLOSED_FORMS[name]
+        h, g0, mhat = [lambda t, fn=fn: fn(np.asarray(t, float))
+                       for fn in closed]
+        f = separable_radial(_with_origin(u, u0), grid, r_max=r_max, n=n,
+                             decay="algebraic", fourier_radial=_catalog_fhat(h),
+                             name=name)
+        return CatalogEntry(name, f, g0, h, mhat)
     if name == "gauss-r2":
-        def u(r):
-            r = np.asarray(r, float)
-            with np.errstate(divide="ignore"):
-                return np.where(r > 0.0, np.exp(-r * r) / np.maximum(r, 1e-300) ** 2,
-                                np.inf)
-
         def fhat(r):
             r = np.asarray(r, float)
             out = np.empty_like(r)
@@ -1325,48 +1334,12 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
             out[~nz] = 2.0 * math.pi ** 1.5
             return out
 
-        f = separable_radial(u, grid, r_max=r_max, n=n, decay="schwartz",
+        f = separable_radial(_with_origin(lambda r: np.exp(-r * r) / r ** 2,
+                                          np.inf),
+                             grid, r_max=r_max, n=n, decay="schwartz",
                              fourier_radial=fhat, name=name)
         return CatalogEntry(name, f, None, None, None,
                             notes="building block; singular at the origin")
-    if name == "erf-type":
-        def u(r):
-            r = np.asarray(r, float)
-            out = np.where(r > 0.0,
-                           TWO_PI * erf(np.maximum(r, 1e-300) / 2.0) / np.maximum(r, 1e-300),
-                           2.0 * math.sqrt(math.pi))
-            return out
-
-        h = lambda r: np.exp(-np.asarray(r, float) ** 2)
-        g0 = lambda t: np.exp(-np.asarray(t, float) ** 2 / 4.0) / (2.0 * math.sqrt(math.pi))
-        mhat = lambda t: 8.0 * math.pi ** 2.5 * np.exp(-np.asarray(t, float) ** 2 / 4.0)
-        f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
-                             fourier_radial=_catalog_fhat(h), name=name)
-        return CatalogEntry(name, f, g0, h, mhat)
-    if name == "exp-ell":
-        def u(r):
-            r = np.asarray(r, float)
-            return np.where(r > 0.0, 4.0 * np.arctan(r) / np.maximum(r, 1e-300), 4.0)
-
-        h = lambda r: np.exp(-np.abs(np.asarray(r, float)))
-        g0 = lambda t: 1.0 / (math.pi * (1.0 + np.asarray(t, float) ** 2))
-        mhat = lambda t: 16.0 * math.pi ** 2 / (1.0 + np.asarray(t, float) ** 2)
-        f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
-                             fourier_radial=_catalog_fhat(h), name=name)
-        return CatalogEntry(name, f, g0, h, mhat)
-    if name == "cauchy-ell":
-        def u(r):
-            r = np.asarray(r, float)
-            return np.where(r > 0.0,
-                            TWO_PI * (1.0 - np.exp(-r)) / np.maximum(r, 1e-300),
-                            TWO_PI)
-
-        h = lambda r: 1.0 / (1.0 + np.asarray(r, float) ** 2)
-        g0 = lambda t: np.exp(-np.abs(np.asarray(t, float))) / 2.0
-        mhat = lambda t: 8.0 * math.pi ** 3 * np.exp(-np.abs(np.asarray(t, float)))
-        f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
-                             fourier_radial=_catalog_fhat(h), name=name)
-        return CatalogEntry(name, f, g0, h, mhat)
     if name.startswith("gamma-q"):
         inner = name[len("gamma-q"):].strip("()")
         try:
@@ -1374,24 +1347,18 @@ def catalog_entry(name: str, grid: SphereGrid | None = None,
         except ValueError:
             raise InputInvalid(f"catalog entry {name!r}: q must be a number, "
                                "as in 'gamma-q(1.5)'") from None
-        h = (lambda q: lambda r: np.exp(-np.abs(np.asarray(r, float)) ** q))(q)
+        h = lambda r: np.exp(-np.abs(np.asarray(r, float)) ** q)
         # sinogram data g0 = (1 / 2 pi) * transform of h, computed once
         t_nodes = symmetric_nodes(n, r_max)
         _, hhat = fourier_1d(h(t_nodes), 2.0 * r_max / n)
         g_samples = hhat / TWO_PI
-        g0 = (lambda tn, gs: lambda t: np.interp(np.asarray(t, float), tn, gs))(
-            t_nodes, g_samples)
+        g0 = lambda t: np.interp(np.asarray(t, float), t_nodes, g_samples)
         # f(r) = (2 pi / r) int_{-r}^{r} g0, from the cumulative integral
         seg = 0.5 * (g_samples[1:] + g_samples[:-1]) * np.diff(t_nodes)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
-
-        def u(r, tn=t_nodes, cum=cum, g_samples=g_samples):
-            r = np.asarray(r, float)
-            hi = np.interp(r, tn, cum)
-            lo = np.interp(-r, tn, cum)
-            return np.where(r > 0.0, TWO_PI * (hi - lo) / np.maximum(r, 1e-300),
-                            FOUR_PI * np.interp(0.0, tn, g_samples))
-
+        u = _with_origin(lambda r: TWO_PI * (np.interp(r, t_nodes, cum)
+                                             - np.interp(-r, t_nodes, cum)) / r,
+                         FOUR_PI * np.interp(0.0, t_nodes, g_samples))
         f = separable_radial(u, grid, r_max=r_max, n=n, decay="algebraic",
                              fourier_radial=_catalog_fhat(h), name=f"gamma-q({q:g})")
         return CatalogEntry(f"gamma-q({q:g})", f, g0, h, None,

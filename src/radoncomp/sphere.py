@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BandwidthExceeded, DegenerateInput, InputInvalid, InvalidGrid
+from .errors import (BandwidthExceeded, DegenerateInput, InputInvalid,
+                     InvalidGrid, OutOfRange)
 
 __all__ = [
     "SphereGrid",
@@ -432,8 +433,8 @@ def constant_function(grid: SphereGrid, c: float) -> SphericalFunction:
 
 def lp_norm_sphere(f: SphericalFunction, p: float) -> float:
     """Quadrature approximation of (integral |f|^p over S^2)^(1/p); p > 0."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not p > 0.0:
+        raise OutOfRange(f"p must be positive, got {p}")
     grid, values = _as_values(f)
     return float(grid.weights @ np.abs(values) ** p) ** (1.0 / p)
 

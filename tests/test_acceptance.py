@@ -309,12 +309,12 @@ def test_criterion_12_classification_pairing(grid16):
         f = catalog_entry("erf-type", grid16).f
         cert = certify_intersection_function(f)
         assert cert.is_intersection_function
-        measures, report = classification_witness(f, cert, n_tests=10)
+        report = classification_witness(f, cert, n_tests=10)
         assert len(report["per_test"]) == 10
         assert report["max_residual"] <= 1e-4
-        for mu in measures:
-            assert float(np.min(mu.density)) >= -1e-4 * float(
-                np.max(np.abs(mu.density)))
+        for density in cert.mhat:        # the ray measures' densities
+            assert float(np.min(density)) >= -1e-4 * float(
+                np.max(np.abs(density)))
 
 
 # 13 --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 import radoncomp
 from radoncomp.cli import main
+from radoncomp.config import load_config
 from radoncomp.reports import report_schema
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -89,13 +90,13 @@ def test_csv_outputs_written(tmp_path):
     assert (out / "sinogram_psi.csv").exists()
 
 
-def _child(*args):
+def _child(*args, timeout=300):
     """Run the interpreter with args, on this checkout's src."""
     src = str(Path(radoncomp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def _loaded_after(code, args=()):
@@ -299,6 +300,97 @@ def test_malformed_catalog_name_is_input_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "gamma-q(abc)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("expression", [
+    "legendre(1/0, z)", "gauss(1/0)", "legendre(1e400, z)",
+    "legendre((-8)^(1/3), z)",
+    # the degree-k recurrence would run 1e30 steps
+    "legendre(1e30, z)",
+])
+def test_constant_argument_is_refused(tmp_path, expression):
+    # the evenness check folds the constant at load: a value that is not a
+    # finite number, or a degree past the recurrence's limit, is refused
+    # with one error line instead of a traceback or a hang
+    cfg = tmp_path / "const.ini"
+    cfg.write_text("[scenario]\nkind = certify-pd\nq = 1\n"
+                   f"[functions]\nf = {expression}\n")
+    run = _child("-m", "radoncomp.cli", "certify-pd", "--config", str(cfg),
+                 "--out", str(tmp_path / "out"), timeout=60)
+    assert run.returncode == 1
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
+
+
+@pytest.mark.parametrize("section, line", [
+    # a NaN tolerance once certified the Gaussian as an intersection function
+    ("tolerances", "rel_tol = nan"),
+    ("tolerances", "rel_tol = 0"),
+    ("tolerances", "tail_tol = -1e-6"),
+    ("scenario", "p = nan"),
+    ("scenario", "q = inf"),
+    ("grid", "r_max = 1e400"),
+    ("grid", "r_max = 0"),
+    # each of these crashed a kernel with a traceback
+    ("grid", "n_t = 0"),
+    ("grid", "n_t = 3"),
+    ("grid", "n_t = 4"),
+    ("grid", "n_t = 6"),
+])
+def test_unusable_number_is_refused_at_load(tmp_path, capsys, section, line):
+    sections = {"scenario": ["kind = certify-intersection"],
+                "functions": ["f_radial = exp(-r^2)"]}
+    sections.setdefault(section, []).append(line)
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "".join(f"{e}\n" for e in body)
+                           for name, body in sections.items()))
+    out = tmp_path / "out"
+    assert main(["certify-intersection", "--config", str(cfg),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    key = line.split(" =")[0]
+    assert err.startswith("error: ") and f"[{section}] {key}" in err
+    assert not out.exists()
+
+
+def test_smallest_offset_grid_loads(tmp_path):
+    cfg = tmp_path / "n7.ini"
+    cfg.write_text("[scenario]\nkind = certify-intersection\n[grid]\n"
+                   "n_t = 7\n[functions]\nf_radial = exp(-r^2)\n")
+    assert load_config(cfg).n_t == 7
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, scale):
+    # --tol-scale nan once turned the Gaussian's exit 2 into exit 0
+    out = tmp_path / "out"
+    config = CONFIG_DIR / "certify-intersection-gaussian.ini"
+    assert main(["certify-intersection", "--config", str(config),
+                 "--out", str(out), "--tol-scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--tol-scale" in err
+    assert not out.exists()
+
+
+def test_s2_exponent_errors_match_r3(tmp_path, capsys):
+    # p = 0 is out of range (exit 1, one error line); a counterexample at
+    # p = 1 is not applicable (exit 2, report written)
+    for kind in ("spherical-compare", "slicing"):
+        cfg = tmp_path / f"{kind}.ini"
+        cfg.write_text((CONFIG_DIR / f"{kind}.ini").read_text()
+                       .replace("p = 2", "p = 0"))
+        assert main([kind, "--config", str(cfg),
+                     "--out", str(tmp_path / kind)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: p must be positive"), err
+    cfg = tmp_path / "ce.ini"
+    cfg.write_text((CONFIG_DIR / "spherical-counterexample.ini").read_text()
+                   .replace("p = 2", "p = 1"))
+    out = tmp_path / "ce"
+    assert main(["spherical-counterexample", "--config", str(cfg),
+                 "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["notes"].startswith("not applicable: at p = 1")
 
 
 def test_singular_expression_prints_only_the_error_line(tmp_path):

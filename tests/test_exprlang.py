@@ -167,6 +167,53 @@ def test_gamma_q_call():
                  angular_context(np.zeros(1), np.zeros(1), np.ones(1)))
 
 
+def test_min_max_elementwise():
+    r = np.array([0.0, 1.0, 2.0, 3.0])
+    assert np.array_equal(evaluate(parse_expr("min(r, 2)"), radial_context(r)),
+                          [0.0, 1.0, 2.0, 2.0])
+    assert np.array_equal(evaluate(parse_expr("max(r, 2)"), radial_context(r)),
+                          [2.0, 2.0, 2.0, 3.0])
+    assert num_eval("max(-x, min(y, z))", x=1.0, y=0.5, z=0.25) == 0.25
+    with pytest.raises(ArityError):
+        evaluate(parse_expr("max(1, 2, 3)"), radial_context(r))
+
+
+def test_folded_constant_arguments():
+    z = np.linspace(-1.0, 1.0, 9)
+    ctx = angular_context(np.zeros(9), np.zeros(9), z)
+    assert np.array_equal(evaluate(parse_expr("legendre(1+1, z)"), ctx),
+                          evaluate(parse_expr("legendre(2, z)"), ctx))
+    assert np.array_equal(evaluate(parse_expr("legendre(-(-3)^1, z)"), ctx),
+                          evaluate(parse_expr("legendre(3, z)"), ctx))
+    assert np.array_equal(evaluate(parse_expr("gauss(2*0.5)"), ctx),
+                          evaluate(parse_expr("gauss(1)"), ctx))
+    assert num_eval("bump(2/2, 6/2)", r=2.0) == 1.0
+    with pytest.raises(ExprSyntaxError):
+        evaluate(parse_expr("legendre(r, z)"), ctx)
+
+
+def test_unknown_function_position():
+    with pytest.raises(UnknownIdentifier) as e:
+        evaluate(parse_expr("2 * sinh(r)"), radial_context(np.zeros(1)))
+    assert e.value.position == 5
+    assert "sinh" in str(e.value)
+
+
+@pytest.mark.parametrize("src, name", [("exp_ell", "exp-ell"),
+                                       ("cauchy_ell", "cauchy-ell"),
+                                       ("gamma_q(1.5)", "gamma-q(1.5)")])
+def test_catalog_bindings_match_catalog_profile(src, name):
+    from radoncomp.radon3d import catalog_entry
+
+    r = np.array([0.0, 0.25, 1.0, 3.5, 7.0])
+    got = evaluate(parse_expr(src), radial_context(r))
+    ref = catalog_entry(name).f.blocks[0].profile(r)
+    assert np.all(np.isfinite(ref)) and np.all(ref > 0.0)
+    assert np.max(np.abs(got - ref) / ref) < 1e-14
+    # the radial variable enters through |r|
+    assert np.array_equal(evaluate(parse_expr(src), radial_context(-r)), got)
+
+
 def test_vectorized_evaluation_shape():
     r = np.linspace(0, 2, 11)
     out = evaluate(parse_expr("exp(-r ^ 2) + 1"), radial_context(r))

@@ -19,6 +19,7 @@ from radoncomp.errors import (
     InputInvalid,
     NotApplicable,
     NotPositive,
+    OutOfRange,
 )
 from radoncomp.funk import (
     FOUR_PI,
@@ -230,8 +231,11 @@ def test_counterexample_not_applicable_when_certified(grid16):
 
 
 def test_counterexample_rejects_bad_p(grid16):
-    with pytest.raises(ValueError):
+    # the exponent errors of construct_counterexample_radon
+    with pytest.raises(NotApplicable):
         construct_counterexample_spherical(zonal(grid16, 0.8), 1.0)
+    with pytest.raises(OutOfRange):
+        construct_counterexample_spherical(zonal(grid16, 0.8), 0.0)
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,12 @@ from scipy.special import eval_legendre, sph_harm_y
 
 from conftest import random_even_spectrum
 from radoncomp import sphere
-from radoncomp.errors import BandwidthExceeded, DegenerateInput, InvalidGrid
+from radoncomp.errors import (
+    BandwidthExceeded,
+    DegenerateInput,
+    InvalidGrid,
+    OutOfRange,
+)
 from radoncomp.sphere import (
     FOUR_PI,
     HarmonicSpectrum,
@@ -388,7 +393,8 @@ def test_lp_norm_constant(grid16):
 
 
 def test_lp_norm_rejects_nonpositive_p(grid16):
-    with pytest.raises(ValueError):
+    # the exponent error of lp_norm_rn
+    with pytest.raises(OutOfRange):
         lp_norm_sphere(constant_function(grid16, 1.0), 0.0)
 
 
