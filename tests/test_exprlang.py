@@ -214,6 +214,18 @@ def test_catalog_bindings_match_catalog_profile(src, name):
     assert np.array_equal(evaluate(parse_expr(src), radial_context(-r)), got)
 
 
+def test_catalog_names_follow_the_catalog():
+    # the names are CATALOG_NAMES with underscores: plain gamma_q is q = 4,
+    # as the config's `catalog = gamma-q`, and only gamma_q takes a q
+    r = radial_context(np.array([0.5, 1.5]))
+    assert np.array_equal(evaluate(parse_expr("gamma_q"), r),
+                          evaluate(parse_expr("gamma_q(4)"), r))
+    with pytest.raises(InputInvalid):
+        evaluate(parse_expr("erf_type(2)"), r)
+    with pytest.raises(UnknownIdentifier):
+        evaluate(parse_expr("erf_typo"), r)
+
+
 def test_vectorized_evaluation_shape():
     r = np.linspace(0, 2, 11)
     out = evaluate(parse_expr("exp(-r ^ 2) + 1"), radial_context(r))
