@@ -38,7 +38,6 @@ from .sphere import (
     evaluate_spectrum,
     grid_function,
     lp_norm_sphere,
-    reverse_holder_check,
     synthesize,
 )
 from .multipliers import (
@@ -55,7 +54,6 @@ from .funk import (
     StarBody,
     construct_counterexample_spherical,
     intersection_body_of,
-    section_measure,
     slicing_check,
     sradon_direct,
     sradon_map,
@@ -81,8 +79,7 @@ _LAZY = {
         "IntersectionCertificate", "RadialProfile", "SeparableFunction",
         "Sinogram", "catalog_entry",
         "certify_intersection_function", "classification_witness",
-        "dual_radon", "fourier_1d", "intersection_function_of",
-        "mollified_ball", "radon_direct_point",
+        "fourier_1d", "mollified_ball", "radon_direct_point",
         "radon_transform", "separable_power", "separable_radial",
         "symmetric_nodes",
     ),

@@ -36,7 +36,6 @@ from .errors import (
     GridTooCoarse,
     InputInvalid,
     NotApplicable,
-    OutOfRange,
     TailTooHeavy,
 )
 from .radon3d import (
@@ -55,6 +54,7 @@ from .radon3d import (
 from .sphere import (
     degree_values_rows,
     radial_gauss_legendre,
+    require_exponent,
 )
 
 __all__ = [
@@ -95,8 +95,7 @@ def lp_norm_rn(phi: SeparableFunction, p: float) -> float:
     later calls nothing.  Raises TailTooHeavy when the integrand at r_max
     still carries more than 1e-6 of the integral.
     """
-    if p <= 0.0:
-        raise OutOfRange(f"p must be positive, got {p}")
+    require_exponent(p)
     phi.require_finite("phi")
     r_max = phi.r_max
     rg, wg = radial_gauss_legendre(r_max, 2048)
@@ -162,8 +161,7 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
     admissible decay class, in which case the hypothesis is reported failed).
     A failed hypothesis is reported, not raised; failed domination raises.
     """
-    if p <= 0.0:
-        raise OutOfRange(f"p must be positive, got {p}")
+    require_exponent(p)
     for name, fn in (("phi", phi), ("psi", psi)):
         fn.require_finite(name)
         m = fn.min_on_sample_grid()
@@ -335,8 +333,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
     parameters (t0, sigma) are searched on a small lattice around the
     negative window of that average.
     """
-    if p <= 0.0:
-        raise OutOfRange(f"p must be positive, got {p}")
+    require_exponent(p)
     if p == 1.0:
         raise NotApplicable("at p = 1 the comparison always holds under "
                             "domination; no counterexample exists")

@@ -14,7 +14,7 @@ class BandwidthExceeded(RadoncompError):
 
 
 class OutOfRange(RadoncompError):
-    """Multiplier arguments outside the admissible (k even, 0 < p < n) range."""
+    """Arguments out of range: a multiplier's k and p, or an exponent p."""
 
 
 class NotPositive(RadoncompError):

@@ -1,6 +1,6 @@
 """Spherical (Funk) Radon transform on S^2 and the comparison machinery built
 on it: the affirmative-case verifier, the counterexample constructor, the
-slicing inequality check, the intersection-body map and section measures.
+slicing inequality check and the intersection-body map.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .errors import (
     DominationFails,
     NotApplicable,
     NotPositive,
-    OutOfRange,
 )
 from .multipliers import (
     REL_TOL,
@@ -31,9 +30,9 @@ from .sphere import (
     analyze,
     evaluate_spectrum,
     first_minimum,
-    gauss_legendre,
     lp_norm_sphere,
     orthonormal_frame,
+    require_exponent,
     synthesize,
 )
 
@@ -47,7 +46,6 @@ __all__ = [
     "construct_counterexample_spherical",
     "slicing_check",
     "intersection_body_of",
-    "section_measure",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -155,6 +153,7 @@ def verify_comparison_spherical(f: SphericalFunction, g: SphericalFunction,
     replays the proof chain: the Parseval pairing and the Hoelder (or reverse
     Hoelder) step, asserting ||f||_p <= ||g||_p.
     """
+    require_exponent(p)
     f.require_finite("f")
     g.require_finite("g")
     if f.min() <= 0.0 or g.min() <= 0.0:
@@ -236,8 +235,7 @@ def construct_counterexample_spherical(base: SphericalFunction, p: float,
     negative, so that R(constructed side) differs from R(base) by
     -(2 pi)^3 / pi * eps * psi, a signed quantity by construction.
     """
-    if not p > 0.0:
-        raise OutOfRange(f"p must be positive, got {p}")
+    require_exponent(p)
     if p == 1.0:
         raise NotApplicable("at p = 1 the comparison always holds under "
                             "domination; no counterexample exists")
@@ -333,6 +331,7 @@ def slicing_check(f: SphericalFunction, p: float,
     reverses and the minimum over xi is used.  The extremum over directions is
     taken on the grid with one Newton polish step from the best node.
     """
+    require_exponent(p)
     f.require_finite("f")
     if f.min() <= 0.0:
         raise NotPositive("f must be strictly positive")
@@ -372,39 +371,3 @@ def intersection_body_of(body: StarBody) -> StarBody:
     residual = float(np.max(np.abs(diff))) / scale
     return StarBody(rho_il, name=f"I({body.name})" if body.name else "IL",
                     meta={"spectral_identity_residual": residual})
-
-
-def section_measure(body: StarBody, density, xi: np.ndarray) -> float:
-    """mu(L cut by xi-perp) for a measure with continuous density.
-
-    Computed as the spherical Radon transform, at xi, of the per-direction
-    radial integral  theta -> integral_0^{rho_L(theta)} r * density(r theta) dr
-    (the n = 3 instance of the polar section formula).  The radial integral
-    uses Gauss-Legendre nodes, 64 at first, doubled until two refinements
-    agree.
-
-    ``density`` is any callable taking an (N, 3) array of points.
-    """
-    grid = body.radial.grid
-    rho = body.radial.values
-
-    def inner(n_nodes: int) -> np.ndarray:
-        t, w = gauss_legendre(n_nodes)
-        # map [-1,1] -> [0, rho] per node
-        r = 0.5 * np.outer(rho, t + 1.0)              # (N, n_nodes)
-        wr = 0.5 * rho[:, None] * w[None, :]
-        pts = grid.nodes[:, None, :] * r[:, :, None]  # (N, n_nodes, 3)
-        dens = np.asarray(density(pts.reshape(-1, 3))).reshape(r.shape)
-        return np.sum(wr * r * dens, axis=1)
-
-    n_radial = 64
-    vals = inner(n_radial)
-    for _ in range(3):
-        vals2 = inner(n_radial * 2)
-        if np.max(np.abs(vals2 - vals)) <= 1e-10 * max(np.max(np.abs(vals2)), 1.0):
-            vals = vals2
-            break
-        vals, n_radial = vals2, n_radial * 2
-    inner_fun = SphericalFunction(grid, vals, parity="even")
-    inner_fun.spectrum = analyze(inner_fun, grid.bandwidth)
-    return sradon_direct(inner_fun, xi)

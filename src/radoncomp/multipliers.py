@@ -147,6 +147,8 @@ def certify_pd_r1(f: SphericalFunction, q: float,
     definite iff the synthesized transform is non-negative; minima within
     +-tol of zero yield an "inconclusive" verdict.
     """
+    if not math.isfinite(q):
+        raise OutOfRange(f"q must be finite, got {q}")
     f.require_finite("f")
     if f.min() <= 0.0:
         raise NotPositive(f"f must be strictly positive (min {f.min():.3e})")

@@ -1,6 +1,6 @@
 """Classical Radon transform on R^3 for separable functions, the Fourier-slice
-machinery, intersection-function certification, the dual Radon transform, and
-the catalog of closed-form worked examples.
+machinery, intersection-function certification, and the catalog of
+closed-form worked examples.
 
 Conventions (used consistently across the package):
   * 3D Fourier transform  f^(xi) = integral f(x) exp(-i<x, xi>) dx; for radial
@@ -41,7 +41,6 @@ from .sphere import (
     build_grid,
     degree_values_rows,
     erf,
-    gauss_legendre,
     legendre,
     orthonormal_frame,
     radial_gauss_legendre,
@@ -64,8 +63,6 @@ __all__ = [
     "radon_transform",
     "radon_direct_point",
     "certify_intersection_function",
-    "dual_radon",
-    "intersection_function_of",
     "classification_witness",
     "catalog_entry",
     "CATALOG_NAMES",
@@ -84,11 +81,10 @@ PAIRING_CONSTANT = 1.0 / (16.0 * math.pi ** 3)
 
 DEFAULT_T_MAX = 16.0
 DEFAULT_N = 2048
-# Bandwidth of the harmonic fits of powers, dual transforms and
-# reconstructions on R^3.
+# Bandwidth of the harmonic fits of powers on R^3.
 _FIT_L_MAX = 8
 # A harmonic mode whose radial coefficients all stay at most this fraction of
-# the largest one is dropped from a fitted or reconstructed function.
+# the largest one is dropped from a fitted function.
 _MODE_CUT = 1e-12
 
 
@@ -529,9 +525,12 @@ def mollified_ball(radius: float = 1.0, width: float = 1e-2,
 
 
 def hemisphere_indices(grid: SphereGrid) -> np.ndarray:
-    """Node indices with positive z; with even polar counts this is exactly
-    one node per antipodal pair, carrying half the quadrature weight."""
-    return np.nonzero(grid.nodes[:, 2] > 0.0)[0]
+    """One node index per antipodal pair, together half the quadrature
+    weight: the nodes with positive z and, on the equator of an odd polar
+    count, those with azimuth index below n_azimuth / 2."""
+    z = grid.nodes[:, 2]
+    first_half = np.arange(grid.n_nodes) % grid.n_azimuth < grid.n_azimuth // 2
+    return np.nonzero((z > 0.0) | ((z == 0.0) & first_half))[0]
 
 
 # ----------------------------------------------------------------------------
@@ -545,8 +544,6 @@ class Sinogram:
     t: np.ndarray                 # (n_t,) symmetric uniform offsets
     directions: np.ndarray        # (D, 3) unit vectors
     values: np.ndarray            # (D, n_t)
-    grid: SphereGrid | None = None
-    direction_indices: np.ndarray | None = None
 
     @property
     def dt(self) -> float:
@@ -573,28 +570,6 @@ class Sinogram:
                     f"# n_t,{len(self.t)}\n"
                     "# columns: dir_x,dir_y,dir_z,values...\n",
                     self.values, lead=self.directions)
-
-    @staticmethod
-    def from_csv(path: str) -> "Sinogram":
-        header = {}
-        dirs, rows = [], []
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    parts = line[1:].strip().split(",", 1)
-                    if len(parts) == 2 and ":" not in parts[0]:
-                        header[parts[0]] = parts[1]
-                    continue
-                nums = [float(v) for v in line.split(",")]
-                dirs.append(nums[:3])
-                rows.append(nums[3:])
-        n_t = int(header["n_t"])
-        dt = float(header["dt"])
-        t = (np.arange(n_t) - n_t // 2) * dt
-        return Sinogram(t, np.array(dirs), np.array(rows))
 
 
 # ----------------------------------------------------------------------------
@@ -686,10 +661,8 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
     grid = phi.grid
     if t is None:
         t = symmetric_nodes()
-    direction_indices = None
     if directions is None:
-        direction_indices = hemisphere_indices(grid)
-        directions = grid.nodes[direction_indices]
+        directions = grid.nodes[hemisphere_indices(grid)]
     for b in phi.blocks:
         if b.profile.decay == "algebraic":
             # hyperplane integrals 2 pi * int u(s) s ds need decay faster
@@ -711,8 +684,7 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
     values = _by_degree(phi, directions, len(t), lambda k, prof: (
         _radial_plane_integral(prof, uniq) if k == 0
         else _degree_plane_integral(prof, k, uniq))[:, inv])
-    return Sinogram(np.asarray(t, float), np.asarray(directions, float), values,
-                    grid=grid, direction_indices=direction_indices)
+    return Sinogram(np.asarray(t, float), np.asarray(directions, float), values)
 
 
 def radon_direct_point(phi: SeparableFunction, t: float,
@@ -1044,128 +1016,6 @@ def certify_intersection_function(f: SeparableFunction,
 
 
 # ----------------------------------------------------------------------------
-# Dual Radon transform and intersection function of data
-# ----------------------------------------------------------------------------
-
-def _require_quadrature(g: Sinogram) -> None:
-    if g.grid is None or g.direction_indices is None:
-        raise InputInvalid(
-            "sinogram carries no direction quadrature (grid/direction_indices); "
-            "attach the sphere grid it was sampled on"
-        )
-
-
-def _full_direction_rows(g: Sinogram, rows: np.ndarray) -> np.ndarray:
-    """Per-direction rows of g (one per g.directions) extended evenly to the
-    whole direction grid: (n_nodes, row length)."""
-    full = np.zeros((g.grid.n_nodes, rows.shape[1]))
-    for d, idx in enumerate(g.direction_indices):
-        full[idx] = rows[d]
-        full[g.grid.antipode[idx]] = rows[d]
-    return full
-
-
-def _rows_equal(g: Sinogram) -> bool:
-    """True when every direction carries the same data row (radial data)."""
-    return bool(np.max(np.abs(g.values - g.values[0]))
-                <= 1e-12 * max(float(np.max(np.abs(g.values))), 1e-300))
-
-
-def dual_radon(g: Sinogram, n_r: int = 128) -> SeparableFunction:
-    """f(x) = integral over S^2 of g(<x, theta>, theta) d theta, sampled to
-    the data's offset range."""
-    r_max = float(-g.t[0])
-    r_vals = np.linspace(0.0, r_max, n_r)
-    if _rows_equal(g):
-        # radial reduction: f(r) = (2 pi / r) * int_{-r}^{r} g0(s) ds
-        spline = _integral_spline(g.t, g.values[0])
-        t_lo, t_hi = float(g.t[0]), float(g.t[-1])
-        f_eval = _with_origin(
-            lambda r: TWO_PI * (spline(np.clip(r, t_lo, t_hi))
-                                - spline(np.clip(-r, t_lo, t_hi))) / r,
-            FOUR_PI * float(spline(0.0, 1)))
-        return separable_radial(f_eval, build_grid(16, 32), r_max=r_max,
-                                n=max(n_r, 256), decay="algebraic")
-    _require_quadrature(g)
-    grid = g.grid
-    # Per harmonic degree of the data (exact in theta for band-limited rows):
-    #   int_{S^2} Y_k(theta) G(<x, theta>) dtheta
-    #     = Y_k(x/|x|) * 2 pi int_{-1}^{1} G(|x| c) P_k(c) dc.
-    coeffs_t = analyze_rows(grid, _full_direction_rows(g, g.values), _FIT_L_MAX)
-    modes, deg = _live_modes(coeffs_t, _FIT_L_MAX)
-    c_nodes, c_w = gauss_legendre(200)
-    t_eval = np.clip(np.outer(r_vals, c_nodes), g.t[0], g.t[-1])
-    g_modes = cubic_spline(g.t, coeffs_t[modes])(t_eval)  # (q, r, c)
-    pk_w = c_w * legendre(deg[:, None], c_nodes)
-    return _modal_function(grid, _FIT_L_MAX, r_vals, "algebraic", modes,
-                           TWO_PI * np.einsum("qrc,qc->qr", g_modes, pk_w))
-
-
-def intersection_function_of(g: Sinogram) -> tuple[SeparableFunction, dict]:
-    """Reconstruct f with r^2 f^(r theta) = 8 pi^2 (g_t)^(r, theta), via
-    f = (1/pi) * transform of |x|^{-2} (g_t)^(|x|, x/|x|).
-
-    The report cross-checks the defining relation from the reconstructed f
-    and the agreement with dual_radon.
-    """
-    r_max = float(-g.t[0])
-    n_t = len(g.t)
-    omega0, ghat0 = fourier_1d(g.values[0], g.dt)
-    s = omega0[n_t // 2:]               # frequencies >= 0
-    h0 = ghat0[n_t // 2:]
-    n_fine = 768
-    r_vals = np.linspace(0.0, r_max, n_fine)
-    if _rows_equal(g):
-        # f = (1/pi) * transform of s^{-2} h(s): f(r) = (4/r) int h(s) sin(rs)/s ds
-        integ = np.empty((n_fine - 1, len(s)))
-        integ[:, 1:] = np.sin(np.outer(r_vals[1:], s[1:])) * (h0[1:] / s[1:])[None, :]
-        integ[:, 0] = h0[0] * r_vals[1:]     # limit of h(s) sin(rs)/s at s = 0
-        vals = np.trapezoid(integ, s, axis=1)
-        f_samples = np.empty(n_fine)
-        f_samples[1:] = 4.0 * vals / r_vals[1:]
-        f_samples[0] = 4.0 * np.trapezoid(h0, s)
-        f = separable_radial(None, build_grid(16, 32), samples=f_samples,
-                             r_max=r_max, n=n_fine, decay="algebraic")
-        directions = np.array([[0.0, 0.0, 1.0]])
-        g_rows = g.values[:1]
-    else:
-        _require_quadrature(g)
-        directions = g.directions
-        # transform each data row, extend evenly, expand in harmonics
-        ghat = fourier_1d(g.values, g.dt)[1][:, n_t // 2:]
-        coeffs = analyze_rows(g.grid, _full_direction_rows(g, ghat), _FIT_L_MAX)
-        modes, deg = _live_modes(coeffs, _FIT_L_MAX)
-        weighted = coeffs[modes] * _trapezoid_weights(s)
-        radial = np.empty((len(modes), n_fine))
-        for k in sorted(set(deg.tolist())):       # one j_k table per degree
-            radial[deg == k] = (-1.0) ** (k // 2) * FOUR_PI / math.pi * (
-                weighted[deg == k] @ spherical_jn(k, np.outer(s, r_vals)))
-        f = _modal_function(g.grid, _FIT_L_MAX, r_vals, "algebraic", modes,
-                            radial)
-        g_rows = g.values
-    # consistency checks, in the frequency window where the data has signal
-    live = np.abs(h0) > 1e-6 * max(float(np.max(np.abs(h0))), 1e-300)
-    s_cut = float(s[live][-1]) if np.any(live) else 0.5 * r_max
-    r_chk = np.linspace(max(0.05 * s_cut, float(s[1])), s_cut, 24)
-    fhat = fourier_along_rays(f, directions[:min(len(directions), 8)], r_chk)
-    cos_mat = np.cos(np.outer(r_chk, g.t)) * g.dt   # transform at off-grid freqs
-    rel_res = 0.0
-    for d in range(fhat.shape[0]):
-        target = cos_mat @ g_rows[d]
-        lhs = r_chk ** 2 * fhat[d] / RELATION_CONSTANT
-        rel_res = max(rel_res, float(np.max(np.abs(lhs - target)))
-                      / max(float(np.max(np.abs(target))), 1e-300))
-    dual = dual_radon(g, n_r=96)
-    r_cmp = np.linspace(0.05 * r_max, 0.6 * r_max, 32)
-    a = f.values_polar(r_cmp)        # f and its dual share one cached grid
-    b = dual.values_polar(r_cmp)
-    dual_res = float(np.max(np.abs(a - b))) / max(float(np.max(np.abs(a))), 1e-300)
-    report = {"relation_residual": rel_res, "dual_radon_residual": dual_res,
-              "relation_constant": RELATION_CONSTANT}
-    return f, report
-
-
-# ----------------------------------------------------------------------------
 # Classification witness (the measure pairing)
 # ----------------------------------------------------------------------------
 
@@ -1259,15 +1109,6 @@ class CatalogEntry:
     h_eval: Callable | None          # h(r) with m(r) = 8 pi^2 h(r)
     mhat_eval: Callable | None       # closed-form transform of m, if known
     notes: str = ""
-
-    def sinogram(self) -> Sinogram:
-        """The data g(t, theta) on the default offsets and the hemisphere
-        directions of f's grid."""
-        t, grid = symmetric_nodes(), self.f.grid
-        idx = hemisphere_indices(grid)
-        values = np.tile(self.g_eval(t), (len(idx), 1))
-        return Sinogram(t, grid.nodes[idx], values, grid=grid,
-                        direction_indices=idx)
 
 
 def _catalog_fhat(h: Callable) -> Callable:

@@ -1,5 +1,5 @@
 """Discretization of S^2: Gauss-Legendre x uniform-azimuth grids, real
-spherical-harmonic analysis/synthesis, L^p norms and the reverse Hoelder check.
+spherical-harmonic analysis/synthesis and L^p norms.
 
 Basis convention (fixed here, referenced everywhere else):
 real orthonormal spherical harmonics without the Condon-Shortley phase,
@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (BandwidthExceeded, DegenerateInput, InputInvalid,
-                     InvalidGrid, OutOfRange)
+from .errors import BandwidthExceeded, InputInvalid, InvalidGrid, OutOfRange
 
 __all__ = [
     "SphereGrid",
@@ -38,7 +37,6 @@ __all__ = [
     "evaluate_spectrum",
     "degree_values_rows",
     "lp_norm_sphere",
-    "reverse_holder_check",
     "normalized_legendre_table",
     "gauss_legendre",
 ]
@@ -431,33 +429,14 @@ def constant_function(grid: SphereGrid, c: float) -> SphericalFunction:
     return SphericalFunction(grid, np.full(grid.n_nodes, float(c)), parity="even")
 
 
+def require_exponent(p: float) -> None:
+    """Refuse an exponent outside 0 < p < inf, NaN included."""
+    if not 0.0 < p < math.inf:
+        raise OutOfRange(f"p must be positive and finite, got {p}")
+
+
 def lp_norm_sphere(f: SphericalFunction, p: float) -> float:
     """Quadrature approximation of (integral |f|^p over S^2)^(1/p); p > 0."""
-    if not p > 0.0:
-        raise OutOfRange(f"p must be positive, got {p}")
+    require_exponent(p)
     grid, values = _as_values(f)
     return float(grid.weights @ np.abs(values) ** p) ** (1.0 / p)
-
-
-def reverse_holder_check(h: SphericalFunction, w: SphericalFunction,
-                         r: float) -> tuple[bool, float]:
-    """Margin of ||h w||_1 >= ||h||_{1/r} ||w||_{-1/(r-1)} for r > 1.
-
-    Returns (margin >= -tol, margin).  Both inputs must be non-negative with
-    positive integral; the negative-exponent norm needs w > 0 a.e., enforced
-    by the quadrature blowing up otherwise.
-    """
-    if r <= 1:
-        raise ValueError(f"r must exceed 1, got {r}")
-    grid, hv = _as_values(h)
-    _, wv = _as_values(w)
-    if float(grid.weights @ np.abs(hv)) == 0.0 or float(grid.weights @ np.abs(wv)) == 0.0:
-        raise DegenerateInput("reverse Hoelder requires positive integrals")
-    lhs = float(grid.weights @ (np.abs(hv) * np.abs(wv)))
-    nh = float(grid.weights @ np.abs(hv) ** (1.0 / r)) ** r
-    with np.errstate(divide="ignore"):
-        neg_pow = np.abs(wv) ** (-1.0 / (r - 1.0))
-    nw = float(grid.weights @ neg_pow) ** (-(r - 1.0))
-    margin = lhs - nh * nw
-    scale = max(abs(lhs), abs(nh * nw), 1.0)
-    return margin >= -1e-10 * scale, margin

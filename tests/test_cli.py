@@ -144,7 +144,7 @@ def test_cli_runs_load_no_scipy_numpy_random_jsonschema_or_metadata(tmp_path):
 
 def test_r3_library_calls_load_no_scipy_or_numpy_random():
     # the benchmark's R^3 warm-up (a non-radial radon_transform and
-    # certification), the mollified ball and both branches of dual_radon
+    # certification) and the plane transform of the mollified ball
     code = _LOADED + (
         "import numpy as np\n"
         "import radoncomp as rc\n"
@@ -157,10 +157,10 @@ def test_r3_library_calls_load_no_scipy_or_numpy_random():
         "    (radial_profile(lambda r: r * r * np.exp(-1.2 * r * r)),\n"
         "     rc.SphericalFunction(grid, 0.3 * (1.5 * z * z - 0.5),\n"
         "                          parity='even'))])\n"
-        "rc.dual_radon(rc.radon_transform(f))\n"
+        "rc.radon_transform(f)\n"
         "rc.certify_intersection_function(f)\n"
         "ball = rc.mollified_ball(grid=grid)\n"
-        "rc.dual_radon(rc.radon_transform(ball))\n"
+        "rc.radon_transform(ball)\n"
         "loaded()\n")
     assert _loaded_after(code) == ["[]"]
 
@@ -187,6 +187,23 @@ def test_s2_runs_load_no_r3_modules(tmp_path):
     assert _loaded_after(code, args) == [
         "[]", "radoncomp.radon3d radoncomp.compare3d",
         "['radoncomp.compare3d', 'radoncomp.radon3d']"]
+
+
+def test_every_export_resolves():
+    # a name left in a module's __all__ or in the package's lazy table after
+    # its definition is gone would fail only when someone reads it
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(radoncomp.__path__):
+        module = importlib.import_module(f"radoncomp.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
+    for module, names in radoncomp._LAZY.items():
+        assert getattr(radoncomp, module).__name__ == f"radoncomp.{module}"
+        for name in names:
+            assert getattr(radoncomp, name) is getattr(
+                importlib.import_module(f"radoncomp.{module}"), name), name
 
 
 def test_lazy_exports_follow_the_module(monkeypatch):

@@ -16,6 +16,7 @@ import scipy.special
 from radoncomp import radon3d
 from radoncomp.compare3d import (
     _bump_profiles,
+    _pair_with_measures,
     construct_counterexample_radon,
     lp_norm_rn,
     sinogram_dominates,
@@ -47,6 +48,7 @@ from radoncomp.radon3d import (
 from radoncomp.sphere import (
     HarmonicSpectrum,
     SphericalFunction,
+    build_grid,
     gauss_legendre,
     synthesize,
 )
@@ -82,6 +84,22 @@ def test_l1_norm_ball(grid16):
 def test_lp_norm_rejects_bad_p(grid16):
     with pytest.raises(OutOfRange):
         lp_norm_rn(gaussian(grid16), 0.0)
+
+
+# R^3 entry points that take an exponent; p = inf once gave a verdict with
+# both norms 1, and p = nan a NaN norm or "hypothesis fails"
+R3_EXPONENT_ENTRY_POINTS = {
+    "lp_norm_rn": lambda phi, p: lp_norm_rn(phi, p),
+    "verify": lambda phi, p: verify_comparison_radon(phi, phi.scaled(2.0), p),
+    "construct": lambda phi, p: construct_counterexample_radon(phi, p),
+}
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+@pytest.mark.parametrize("entry", sorted(R3_EXPONENT_ENTRY_POINTS))
+def test_non_finite_exponent_refused(grid16, entry, p):
+    with pytest.raises(OutOfRange, match="p must be positive and finite"):
+        R3_EXPONENT_ENTRY_POINTS[entry](gaussian(grid16), p)
 
 
 def test_lp_norm_heavy_tail_raises(grid16):
@@ -202,6 +220,34 @@ def test_verify_p1_cavalieri(grid16):
     # the norm gap equals the direction-averaged sinogram gap
     assert rep.chain["cavalieri_residual"] < 1e-10
     assert rep.lp_phi <= rep.lp_psi
+
+
+@pytest.mark.parametrize("n_polar, n_azimuth", [(15, 32), (17, 34)])
+def test_odd_polar_grid_keeps_half_the_equator(n_polar, n_azimuth):
+    # an odd Gauss-Legendre count puts a ring at z = 0: half of it belongs to
+    # the hemisphere, or the p = 1 chain loses that ring's weight
+    grid = build_grid(n_polar, n_azimuth)
+    idx = hemisphere_indices(grid)
+    assert math.isclose(2.0 * grid.weights[idx].sum(), 4.0 * math.pi,
+                        rel_tol=1e-14)
+    assert sorted(np.r_[idx, grid.antipode[idx]]) == list(range(grid.n_nodes))
+    rep = verify_comparison_radon(gaussian(grid),
+                                  gaussian(grid, width=1.054, amp=1.3), 1.0)
+    assert rep.chain["cavalieri_residual"] < 1e-9
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_pairing_with_ray_measures_closed_form(grid16, a):
+    # w = 2 pi erf(r/2)/r certifies; paired with the sinogram of e^{-a r^2}
+    # through its ray measures it gives int w phi dx = 8 pi^2 b / (2 a
+    # sqrt(a + b^2)), b = 1/2, the step the p > 1 proof chain rests on
+    cert = certify_intersection_function(catalog_entry("erf-type", grid16).f)
+    sino = radon_transform(gaussian(grid16, width=a ** -0.5))
+    weights = 2.0 * grid16.weights[hemisphere_indices(grid16)]
+    b = 0.5
+    want = 8.0 * math.pi ** 2 * b / (2.0 * a * math.sqrt(a + b * b))
+    assert math.isclose(_pair_with_measures(sino, cert, weights), want,
+                        rel_tol=1e-8)
 
 
 def test_verify_domination_failure_raises(grid16):

@@ -26,7 +26,6 @@ from radoncomp.funk import (
     StarBody,
     construct_counterexample_spherical,
     intersection_body_of,
-    section_measure,
     slicing_check,
     sradon_direct,
     sradon_map,
@@ -238,6 +237,23 @@ def test_counterexample_rejects_bad_p(grid16):
         construct_counterexample_spherical(zonal(grid16, 0.8), 0.0)
 
 
+# S^2 entry points that take an exponent; an infinite p once gave verdicts
+# (lp_f = lp_g = 1, a slicing inequality that "holds")
+S2_EXPONENT_ENTRY_POINTS = {
+    "lp_norm_sphere": lambda f, p: lp_norm_sphere(f, p),
+    "verify": lambda f, p: verify_comparison_spherical(
+        f, SphericalFunction(f.grid, 2.0 * f.values, parity="even"), p),
+    "construct": lambda f, p: construct_counterexample_spherical(f, p),
+    "slicing": lambda f, p: slicing_check(f, p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(S2_EXPONENT_ENTRY_POINTS))
+def test_infinite_exponent_refused(grid16, entry):
+    with pytest.raises(OutOfRange, match="p must be positive and finite"):
+        S2_EXPONENT_ENTRY_POINTS[entry](zonal(grid16, 0.8), math.inf)
+
+
 # ----------------------------------------------------------------------------
 # Slicing
 # ----------------------------------------------------------------------------
@@ -316,23 +332,3 @@ def test_star_body_rejects_asymmetric(grid16):
         StarBody(grid_function(grid16, lambda u: 1.0 + 0.3 * u[:, 2]))
     with pytest.raises(NotPositive):
         StarBody(grid_function(grid16, lambda u: u[:, 2] ** 2 - 0.5))
-
-
-def test_section_measure_lebesgue_ball(grid16):
-    # Lebesgue measure of a central section of B^3 is the disk area pi
-    body = StarBody(constant_function(grid16, 1.0))
-    val = section_measure(body, lambda pts: np.ones(len(pts)),
-                          np.array([0.0, 0.0, 1.0]))
-    assert math.isclose(val, math.pi, rel_tol=1e-10)
-
-
-def test_section_measure_gaussian_density(grid16):
-    # int over the unit disk of e^{-rho^2} = pi (1 - e^{-1})
-    body = StarBody(constant_function(grid16, 1.0))
-
-    def dens(pts):
-        return np.exp(-np.sum(pts ** 2, axis=1))
-
-    ref = math.pi * (1.0 - math.exp(-1.0))
-    val = section_measure(body, dens, np.array([1.0, 1.0, 0.0]))
-    assert math.isclose(val, ref, rel_tol=1e-8)

@@ -233,6 +233,15 @@ def test_certify_pd_transform_closed_form(grid16):
     assert np.max(np.abs(cert.transform_data.values - ref)) < 1e-9
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf])
+def test_certify_pd_refuses_non_finite_power(grid16, q):
+    # refused before any work; NaN gave "inconclusive" once
+    z = grid16.nodes[:, 2]
+    f = SphericalFunction(grid16, 1.0 + 0.15 * (3 * z * z - 1.0), parity="even")
+    with pytest.raises(OutOfRange, match="q must be finite"):
+        certify_pd_r1(f, q)
+
+
 def test_certify_pd_rejects_nonpositive(grid16):
     z = grid16.nodes[:, 2]
     f = SphericalFunction(grid16, z * z)       # vanishes near the equator? no:

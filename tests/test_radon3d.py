@@ -1,5 +1,5 @@
 """Classical Radon transform on R^3, Fourier-slice machinery, certification,
-dual transform, reconstruction, and the worked-example catalog.
+and the worked-example catalog.
 
 Closed-form oracles used throughout:
   * R[e^{-|x|^2}](t) = pi e^{-t^2}
@@ -28,19 +28,16 @@ from radoncomp.radon3d import (
     RELATION_CONSTANT,
     RadialProfile,
     SeparableFunction,
-    Sinogram,
     _cumulative_simpson,
     _degree_plane_integral,
     catalog_entry,
     certify_intersection_function,
     classification_witness,
     cubic_spline,
-    dual_radon,
     erfc,
     fourier_1d,
     fourier_along_rays,
     hemisphere_indices,
-    intersection_function_of,
     mollified_ball,
     radial_profile,
     radon_direct_point,
@@ -331,16 +328,6 @@ def test_radon_rejects_algebraic_decay(grid16):
     f = catalog_entry("erf-type", grid16).f
     with pytest.raises(DecayTooSlow):
         radon_transform(f)
-
-
-def test_sinogram_csv_round_trip(tmp_path, grid16):
-    sino = radon_transform(gaussian(grid16), t=symmetric_nodes(128, 8.0))
-    path = tmp_path / "sino.csv"
-    sino.to_csv(str(path))
-    back = Sinogram.from_csv(str(path))
-    assert np.max(np.abs(back.t - sino.t)) < 1e-15
-    assert np.max(np.abs(back.values - sino.values)) == 0.0
-    assert np.max(np.abs(back.directions - sino.directions)) == 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -700,71 +687,6 @@ def test_certificate_from_a_table():
 
 
 # ----------------------------------------------------------------------------
-# Dual transform and reconstruction
-# ----------------------------------------------------------------------------
-
-def radial_sinogram(g0, grid, t=None):
-    if t is None:
-        t = symmetric_nodes()
-    idx = hemisphere_indices(grid)
-    vals = np.tile(g0(t), (len(idx), 1))
-    return Sinogram(t, grid.nodes[idx], vals, grid=grid,
-                    direction_indices=idx)
-
-
-def test_dual_radon_gaussian_data(grid16):
-    # dual transform of g(t) = e^{-t^2}: f(r) = 2 pi^{3/2} erf(r) / r
-    sino = radial_sinogram(lambda t: np.exp(-t * t), grid16)
-    f = dual_radon(sino)
-    r = np.linspace(0.1, 10.0, 40)
-    ref = 2.0 * math.pi ** 1.5 * erf(r) / r
-    got = f.values_polar(r)[:, 0]
-    assert np.max(np.abs(got - ref) / np.max(ref)) < 1e-7
-    # value at the origin: 4 pi g(0)
-    assert math.isclose(float(f(np.zeros((1, 3)))[0]), 4.0 * math.pi,
-                        rel_tol=1e-9)
-
-
-def test_intersection_function_of_catalog_data(grid16):
-    entry = catalog_entry("erf-type", grid16)
-    f, report = intersection_function_of(entry.sinogram())
-    assert report["relation_constant"] == RELATION_CONSTANT
-    assert report["relation_residual"] < 1e-6
-    assert report["dual_radon_residual"] < 1e-7
-    r = np.linspace(0.2, 6.0, 30)
-    ref = entry.f.values_polar(r)[:, 0]
-    got = f.values_polar(r)[:, 0]
-    assert np.max(np.abs(got - ref) / np.max(np.abs(ref))) < 1e-7
-
-
-def test_nonradial_data_reconstruction_and_dual(grid16):
-    # R of e^{-r^2} + 0.3 r^2 e^{-1.2 r^2} P_2(z): the rows differ between
-    # directions, so both reconstructions expand the data mode by mode
-    p2 = 0.3 * eval_legendre(2, grid16.nodes[:, 2])
-    phi = SeparableFunction([
-        (radial_profile(lambda r: np.exp(-r * r)),
-         SphericalFunction(grid16, np.ones(grid16.n_nodes), parity="even")),
-        (radial_profile(lambda r: r * r * np.exp(-1.2 * r * r)),
-         SphericalFunction(grid16, p2, parity="even"))])
-    g = radon_transform(phi)
-    f, report = intersection_function_of(g)
-    assert report["relation_residual"] < 1e-5
-    assert report["dual_radon_residual"] < 1e-5
-    for fn in (f, dual_radon(g)):
-        assert any(np.any(b.coeffs[4:9]) for b in fn.blocks)   # degree 2
-
-
-def test_reconstruction_satisfies_relation(grid16):
-    # r^2 f^(r theta) = 8 pi^2 * (1D transform of the data row); the Cauchy
-    # data row decays only like t^{-2}, so truncating it at |t| = 16 leaves a
-    # percent-level tail error in its transform (the fast-decaying data case
-    # above checks the relation to 1e-6)
-    entry = catalog_entry("exp-ell", grid16)
-    f, report = intersection_function_of(entry.sinogram())
-    assert report["relation_residual"] < 1e-2
-
-
-# ----------------------------------------------------------------------------
 # Classification witness
 # ----------------------------------------------------------------------------
 
@@ -832,8 +754,8 @@ def test_catalog_erf_type_interior_relation(grid16):
 
 def test_catalog_sinogram_masses_match(grid16):
     entry = catalog_entry("exp-ell", grid16)
-    sino = entry.sinogram()
-    # each row is the Cauchy density: its integral over [-16, 16] is
+    t = symmetric_nodes()
+    # the data row is the Cauchy density: its integral over [-16, 16] is
     # (2 / pi) arctan(16)
     ref = 2.0 / math.pi * math.atan(16.0)
-    assert np.max(np.abs(sino.masses() - ref)) < 1e-4
+    assert abs(np.trapezoid(entry.g_eval(t), t) - ref) < 1e-4

@@ -12,7 +12,6 @@ from conftest import random_even_spectrum
 from radoncomp import sphere
 from radoncomp.errors import (
     BandwidthExceeded,
-    DegenerateInput,
     InvalidGrid,
     OutOfRange,
 )
@@ -32,7 +31,6 @@ from radoncomp.sphere import (
     legendre,
     lp_norm_sphere,
     normalized_legendre_table,
-    reverse_holder_check,
     synthesize,
 )
 
@@ -406,28 +404,3 @@ def test_lp_norm_monotone_in_p_on_probability_scale(grid16):
     norms = [lp_norm_sphere(f, p) * FOUR_PI ** (-1.0 / p)
              for p in (0.5, 1.0, 2.0, 4.0)]
     assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
-
-
-def test_reverse_holder_equality_for_constants(grid16):
-    h = constant_function(grid16, 2.0)
-    w = constant_function(grid16, 3.0)
-    ok, margin = reverse_holder_check(h, w, 2.0)
-    assert ok
-    assert abs(margin) < 1e-9
-
-
-def test_reverse_holder_strict_for_nonconstant(grid16):
-    h = grid_function(grid16, lambda u: 1.0 + 0.5 * u[:, 2] ** 2)
-    w = grid_function(grid16, lambda u: 1.0 + 0.3 * u[:, 0] ** 2)
-    ok, margin = reverse_holder_check(h, w, 2.0)
-    assert ok
-    assert margin > 0.0
-
-
-def test_reverse_holder_rejects_degenerate(grid16):
-    zero = constant_function(grid16, 0.0)
-    one = constant_function(grid16, 1.0)
-    with pytest.raises(DegenerateInput):
-        reverse_holder_check(zero, one, 2.0)
-    with pytest.raises(ValueError):
-        reverse_holder_check(one, one, 1.0)
