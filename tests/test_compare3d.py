@@ -86,8 +86,8 @@ def test_lp_norm_rejects_bad_p(grid16):
         lp_norm_rn(gaussian(grid16), 0.0)
 
 
-# R^3 entry points that take an exponent; p = inf once gave a verdict with
-# both norms 1, and p = nan a NaN norm or "hypothesis fails"
+# R^3 entry points that take an exponent: an infinite or NaN p is refused
+# before any work, or it turns into norms of 1 or NaN and a verdict on them
 R3_EXPONENT_ENTRY_POINTS = {
     "lp_norm_rn": lambda phi, p: lp_norm_rn(phi, p),
     "verify": lambda phi, p: verify_comparison_radon(phi, phi.scaled(2.0), p),

@@ -237,8 +237,8 @@ def test_counterexample_rejects_bad_p(grid16):
         construct_counterexample_spherical(zonal(grid16, 0.8), 0.0)
 
 
-# S^2 entry points that take an exponent; an infinite p once gave verdicts
-# (lp_f = lp_g = 1, a slicing inequality that "holds")
+# S^2 entry points that take an exponent: an infinite p is refused before any
+# work, or it turns into norms of 1 and a verdict on them
 S2_EXPONENT_ENTRY_POINTS = {
     "lp_norm_sphere": lambda f, p: lp_norm_sphere(f, p),
     "verify": lambda f, p: verify_comparison_spherical(

@@ -235,7 +235,8 @@ def test_certify_pd_transform_closed_form(grid16):
 
 @pytest.mark.parametrize("q", [math.nan, math.inf])
 def test_certify_pd_refuses_non_finite_power(grid16, q):
-    # refused before any work; NaN gave "inconclusive" once
+    # a power that is not finite leaves no transform to judge: f^q is all 0,
+    # 1, inf or NaN, so it is refused, not reported "inconclusive"
     z = grid16.nodes[:, 2]
     f = SphericalFunction(grid16, 1.0 + 0.15 * (3 * z * z - 1.0), parity="even")
     with pytest.raises(OutOfRange, match="q must be finite"):
