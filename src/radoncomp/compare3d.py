@@ -53,6 +53,7 @@ from .radon3d import (
 )
 from .sphere import (
     degree_values_rows,
+    lp_root,
     radial_gauss_legendre,
     require_exponent,
 )
@@ -88,32 +89,37 @@ class RnComparisonReport:
 # ----------------------------------------------------------------------------
 
 def lp_norm_rn(phi: SeparableFunction, p: float) -> float:
-    """|phi|_p by polar quadrature (2048 Gauss-Legendre radii x sphere grid).
+    """|phi|_p by polar quadrature: 2048 Gauss-Legendre radii times the
+    sphere grid.  |phi|^p and its radial sum are taken once per class of
+    grid nodes with equal angular values (SeparableFunction.node_classes),
+    then spread back to the nodes for the angular weights.
 
     The radial rule is built on first use and cached for the life of the
     process (sphere.gauss_legendre): the first call pays about 0.1 s for it,
     later calls nothing.  Raises TailTooHeavy when the integrand at r_max
-    still carries more than 1e-6 of the integral.
+    still carries more than 1e-6 of the integral, and OutOfRange when the
+    norm is out of double range (sphere.lp_root).
     """
     require_exponent(p)
     phi.require_finite("phi")
     r_max = phi.r_max
     rg, wg = radial_gauss_legendre(r_max, 2048)
     grid = phi.grid
-    vals = np.abs(phi.values_polar(rg)) ** p
-    total = float((wg * rg * rg) @ vals @ grid.weights)
+    first, index = phi.node_classes()
+    vals = phi.values_polar(np.append(rg, r_max), first)
+    with np.errstate(over="ignore"):
+        powered = np.abs(vals) ** p
+    total = float(((wg * rg * rg) @ powered[:-1])[index] @ grid.weights)
     # boundary-contribution estimate: integrand level at the grid edge times
     # one more copy of the radial extent
-    edge = float(np.abs(phi.values_polar(np.array([r_max]))[0]) ** p
-                 @ grid.weights)
-    tail_est = edge * r_max ** 3
+    tail_est = float(powered[-1][index] @ grid.weights) * r_max ** 3
     if tail_est > 1e-6 * max(total, 1e-300):
         raise TailTooHeavy(
             f"estimated boundary contribution {tail_est:.3e} exceeds "
             f"1e-06 of the integral {total:.3e}; |phi|^p is not "
             "captured by the truncated grid"
         )
-    return total ** (1.0 / p)
+    return lp_root(total, p, bool(np.any(vals[:-1])))
 
 
 # ----------------------------------------------------------------------------
@@ -295,10 +301,11 @@ def _combine(psi: SeparableFunction, h: SeparableFunction,
 
 
 def _integral_against(w_fn: SeparableFunction, h: SeparableFunction) -> float:
-    rg, wg = radial_gauss_legendre(min(w_fn.r_max, h.r_max), 300)
-    grid = w_fn.grid
-    vals = w_fn.values_polar(rg) * h.values_polar(rg)
-    return float((wg * rg * rg) @ vals @ grid.weights)
+    both = SeparableFunction(w_fn.blocks + h.blocks)
+    first, index = both.node_classes()
+    rg, wg = radial_gauss_legendre(both.r_max, 300)
+    vals = w_fn.values_polar(rg, first) * h.values_polar(rg, first)
+    return float(((wg * rg * rg) @ vals)[index] @ both.grid.weights)
 
 
 def _negative_window(omega: np.ndarray,
@@ -378,8 +385,9 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
     # eta: keep phi >= 0, then insist on a strict norm gap
     n_chk = 512
     r_chk = np.linspace(0.0, psi.r_max, n_chk)
-    psi_vals = psi.values_polar(r_chk)
-    h_vals = h.values_polar(r_chk)
+    first, _ = SeparableFunction(psi.blocks + h.blocks).node_classes()
+    psi_vals = psi.values_polar(r_chk, first)
+    h_vals = h.values_polar(r_chk, first)
     pos = h_vals > 1e-12 * np.max(np.abs(h_vals))
     eta = 0.5 * float(np.min(psi_vals[pos] / h_vals[pos]))
     lp_psi = lp_norm_rn(psi, p)

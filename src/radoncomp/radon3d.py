@@ -386,15 +386,29 @@ class SeparableFunction:
             out += (np.atleast_2d(b.profile(r)) * ang).sum(axis=0)
         return out
 
-    def values_polar(self, r_vals: np.ndarray) -> np.ndarray:
-        """(n_r, n_nodes) samples on radii x angular-grid nodes."""
+    def values_polar(self, r_vals: np.ndarray,
+                     nodes: np.ndarray | None = None) -> np.ndarray:
+        """(n_r, n) samples on radii x the angular-grid nodes indexed by
+        ``nodes`` (all of them by default)."""
         r_vals = np.asarray(r_vals, dtype=float)
-        out = np.zeros((len(r_vals), self.grid.n_nodes))
-        for b in self.blocks:
-            # sum over rows of outer(u_i, l_i): for one row, np.outer's bits
-            out += np.einsum("qa,qb->ab", np.atleast_2d(b.profile(r_vals)),
-                             b.values)
-        return out
+        # sum over rows of outer(u_i, l_i): for one row, np.outer's bits;
+        # take keeps rows C-ordered, so a node's bits ignore the other nodes
+        return sum(np.einsum("qa,qb->ab", np.atleast_2d(b.profile(r_vals)),
+                             b.values if nodes is None
+                             else b.values.take(nodes, axis=1))
+                   for b in self.blocks)
+
+    def node_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, index): the first node of each class of grid nodes whose
+        angular values agree exactly in every row of every block, and each
+        node's class.  values_polar(r, first)[:, index] is values_polar(r)."""
+        cols = np.concatenate([b.values for b in self.blocks])
+        order = np.lexsort(cols[::-1])   # not np.unique: it loads numpy.ma
+        ordered = cols[:, order]
+        new = np.r_[True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)]
+        index = np.empty(len(order), dtype=int)
+        index[order] = np.cumsum(new) - 1
+        return order[new], index
 
     def scaled(self, c: float) -> "SeparableFunction":
         fr = self.fourier_radial
@@ -416,7 +430,7 @@ class SeparableFunction:
 
     def min_on_sample_grid(self, n_r: int = 256) -> float:
         r_vals = np.linspace(0.0, self.r_max, n_r)
-        return float(np.min(self.values_polar(r_vals)))
+        return float(np.min(self.values_polar(r_vals, self.node_classes()[0])))
 
 
 def separable_radial(fn: Callable | None = None, grid: SphereGrid | None = None,
@@ -492,10 +506,12 @@ def separable_power(phi: SeparableFunction, e: float) -> SeparableFunction:
                                 n=block.samples.shape[1],
                                 decay=block.profile.decay)
     r_vals = np.linspace(0.0, r_max, n_r)
-    vals = phi.values_polar(r_vals)
+    first, index = phi.node_classes()
+    vals = phi.values_polar(r_vals, first)
     powered = np.abs(vals) ** e * np.sign(vals)
     _check_power_decay(vals[1:], powered[1:], e)      # origin may be singular
-    return separable_from_polar_samples(powered, r_vals, phi.grid, _FIT_L_MAX)
+    return separable_from_polar_samples(powered[:, index], r_vals, phi.grid,
+                                        _FIT_L_MAX)
 
 
 def _check_power_decay(base: np.ndarray, powered: np.ndarray, e: float) -> None:

@@ -3,6 +3,7 @@ codes, schema-valid reports, byte reproducibility, and input-error paths."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -408,6 +409,21 @@ def test_s2_exponent_errors_match_r3(tmp_path, capsys):
                  "--out", str(out)]) == 2
     report = json.loads((out / "report.json").read_text())
     assert report["notes"].startswith("not applicable: at p = 1")
+
+
+def test_overflowing_norm_is_input_error(tmp_path):
+    # |f|^p overflows at p = 1e6: the run wrote "lp_f": Infinity and exit 2
+    cfg = tmp_path / "big-p.ini"
+    cfg.write_text((CONFIG_DIR / "spherical-compare.ini").read_text()
+                   .replace("p = 2", "p = 1e6"))
+    out = tmp_path / "out"
+    run = _child("-m", "radoncomp.cli", "spherical-compare", "--config",
+                 str(cfg), "--out", str(out))
+    assert run.returncode == 1
+    assert run.stderr.startswith("error: ") and "Warning" not in run.stderr
+    for path in out.glob("*"):
+        assert not re.search(r"\b(Infinity|NaN|inf|nan)\b", path.read_text()), \
+            path.name
 
 
 def test_singular_expression_prints_only_the_error_line(tmp_path):

@@ -8,6 +8,8 @@ Closed-form oracles:
 """
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +52,7 @@ from radoncomp.sphere import (
     SphericalFunction,
     build_grid,
     gauss_legendre,
+    radial_gauss_legendre,
     synthesize,
 )
 
@@ -128,6 +131,104 @@ def test_cached_rule_is_read_only():
     for a in gauss_legendre(64):
         with pytest.raises(ValueError):
             a[0] = 0.0
+
+
+def _rn_mix_p2(grid, A=1.3, a=1.0, c=0.5, k=1.2):
+    """The rn-mix non-radial input A e^{-a r^2} + c r^2 e^{-k r^2} P_2(z)."""
+    z = grid.nodes[:, 2]
+    return SeparableFunction([
+        (radial_profile(lambda r: A * np.exp(-a * np.asarray(r, float) ** 2)),
+         SphericalFunction(grid, np.ones(grid.n_nodes), parity="even")),
+        (radial_profile(lambda r: np.asarray(r, float) ** 2
+                        * np.exp(-k * np.asarray(r, float) ** 2)),
+         SphericalFunction(grid, c * (1.5 * z * z - 0.5), parity="even"))])
+
+
+def _xz_factor(grid):
+    """e^{-r^2} (1 + 0.2 x z), its angular samples made exactly even (the
+    grid's antipodes negate coordinates only to rounding)."""
+    v = 1.0 + 0.2 * grid.nodes[:, 0] * grid.nodes[:, 2]
+    return SeparableFunction([
+        (radial_profile(lambda r: np.exp(-np.asarray(r, float) ** 2)),
+         SphericalFunction(grid, 0.5 * (v + v[grid.antipode]),
+                           parity="even"))])
+
+
+CLASS_INPUTS = {
+    "gaussian": lambda grid: gaussian(grid),
+    "rn-mix-p2": _rn_mix_p2,
+    "xz-factor": _xz_factor,
+}
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+@pytest.mark.parametrize("name", sorted(CLASS_INPUTS))
+def test_class_quadrature_matches_the_full_grid(grid16, name, p):
+    # |f|^p taken once per class of equal angular columns gives the norm of
+    # the brute-force sum over every node, and the parent's exact minimum
+    f = CLASS_INPUTS[name](grid16)
+    first, index = f.node_classes()
+    if name == "gaussian":
+        assert len(first) == 1
+    if name == "xz-factor":
+        # antipodes share a class, and other coincidences may join them
+        assert np.array_equal(index, index[grid16.antipode])
+        assert 1 < len(first) <= grid16.n_nodes // 2
+    assert np.array_equal(first, [np.flatnonzero(index == c)[0]
+                                  for c in range(len(first))])
+    assert math.isclose(np.bincount(index, grid16.weights).sum(),
+                        4.0 * math.pi, rel_tol=1e-14)
+    rg, wg = radial_gauss_legendre(f.r_max, 2048)
+    full = f.values_polar(rg)
+    assert np.array_equal(f.values_polar(rg, first)[:, index], full)
+    brute = float((wg * rg * rg) @ np.abs(full) ** p @ grid16.weights) \
+        ** (1.0 / p)
+    assert math.isclose(lp_norm_rn(f, p), brute, rel_tol=1e-13)
+    r = np.linspace(0.0, f.r_max, 256)
+    assert f.min_on_sample_grid() == float(np.min(f.values_polar(r)))
+
+
+def test_columns_one_ulp_apart_are_different_classes(grid16):
+    values = np.ones(grid16.n_nodes)
+    values[[5, grid16.antipode[5]]] = np.nextafter(1.0, 2.0)
+    f = SeparableFunction([(radial_profile(lambda r: np.exp(-r * r)),
+                            SphericalFunction(grid16, values, parity="even"))])
+    first, index = f.node_classes()
+    assert len(first) == 2
+    assert index[5] != index[0] and index[5] == index[grid16.antipode[5]]
+
+
+def test_lp_norm_memory_bound(grid16):
+    # |phi|^p on one class column, not on a (2048 x nodes) table (16 MB)
+    f = gaussian(grid16)
+    lp_norm_rn(f, 2.0)          # the cached radial rule is built outside
+    tracemalloc.start()
+    try:
+        lp_norm_rn(f, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+# Norms out of double range: |f|^p overflows, or underflows to 0 while f
+# does not vanish; each gave inf or 0 and a verdict on it
+@pytest.mark.parametrize("amp, p", [(3.0, 700.0), (0.5, 1100.0)])
+def test_lp_norm_out_of_double_range_refused(grid16, amp, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="out of double range"):
+            lp_norm_rn(gaussian(grid16, amp=amp), p)
+
+
+def test_verify_refuses_an_underflowing_norm(grid16):
+    # phi^p underflows to the zero function: lp_phi read 0 and the
+    # comparison was concluded
+    phi = gaussian(grid16, amp=0.5)
+    psi = separable_radial(lambda r: 0.6 * np.exp(-0.9 * np.asarray(r, float)
+                                                  ** 2), grid16)
+    with pytest.raises(OutOfRange, match="out of double range"):
+        verify_comparison_radon(phi, psi, 1100.0)
 
 
 # ----------------------------------------------------------------------------

@@ -396,6 +396,12 @@ def test_lp_norm_rejects_nonpositive_p(grid16):
         lp_norm_sphere(constant_function(grid16, 1.0), 0.0)
 
 
+def test_lp_norm_root_out_of_double_range_refused(grid16):
+    # (4 pi)^(1/p) overflows at p = 1e-300: it raised a raw OverflowError
+    with pytest.raises(OutOfRange, match="out of double range"):
+        lp_norm_sphere(constant_function(grid16, 0.5), 1e-300)
+
+
 def test_lp_norm_monotone_in_p_on_probability_scale(grid16):
     # on a probability space, ||f||_p is nondecreasing in p; rescale weights
     rng = np.random.default_rng(5)

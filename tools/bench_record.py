@@ -12,9 +12,11 @@ line and the metric lines above it, which alone carry ``fail_ratio`` and the
 sample counts.  The runs are appended to ``BENCH_<label>.json`` at the
 root of this repository, so invoking the tool on two checkouts in turn, one
 seed at a time, records alternating before/after pairs.  A run that exits
-non-zero is recorded with its exit code and the tail of its error output.
-A checkout without ``BENCHMARK.json`` or ``radonbench/run.py`` is refused
-with exit code 2 before anything runs or is written.  Standard library only.
+non-zero is recorded with its exit code and the tail of its error output,
+printed with its command, and makes the tool exit 1 after the other runs.  A
+checkout without ``BENCHMARK.json`` or ``radonbench/run.py`` is refused
+with exit code 2 before anything runs or is written.  ``bench_pairs.py``
+drives this tool on two checkouts.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,22 +46,30 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return record
 
 
+def refusal(checkout: Path) -> str | None:
+    """Why checkout cannot be benchmarked, or None when it can."""
+    missing = [name for name in ("BENCHMARK.json", "radonbench/run.py")
+               if not (checkout / name).is_file()]
+    if missing:
+        return f"{checkout} is not a benchmark checkout: no {' or '.join(missing)}"
+    return None
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 3:
         print(__doc__, file=sys.stderr)
         return 2
     checkout = Path(argv[0]).resolve()
     label, seeds = argv[1], [int(s) for s in argv[2:]]
-    missing = [name for name in ("BENCHMARK.json", "radonbench/run.py")
-               if not (checkout / name).is_file()]
-    if missing:
-        print(f"{checkout} is not a benchmark checkout: no {' or '.join(missing)}",
-              file=sys.stderr)
+    reason = refusal(checkout)
+    if reason:
+        print(reason, file=sys.stderr)
         return 2
     workloads = [w["name"] for w in json.loads(
         (checkout / "BENCHMARK.json").read_text())["workloads"]]
     path = ROOT / f"BENCH_{label}.json"
     runs = json.loads(path.read_text())["runs"] if path.exists() else []
+    failed = False
     for workload in workloads:
         for seed in seeds:
             record = run_once(checkout, workload, seed)
@@ -69,7 +79,13 @@ def main(argv: list[str]) -> int:
             print(f"{workload} seed {seed} exit {record['exit_code']}: "
                   + ", ".join(f"{k} {v['value']:.4g}"
                               for k, v in sorted(metrics.items())), flush=True)
-    return 0
+            if record["exit_code"] != 0:
+                failed = True
+                print(f"FAILED in {checkout}: python3 radonbench/run.py "
+                      f"--workload {workload} --seed {seed} --seconds {SECONDS}"
+                      f" --trace 0\n{record.get('stderr_tail', '')}",
+                      file=sys.stderr, flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
