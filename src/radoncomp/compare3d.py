@@ -88,11 +88,11 @@ class RnComparisonReport:
 # L^p norms
 # ----------------------------------------------------------------------------
 
+@np.errstate(over="ignore")     # lp_root refuses what overflows
 def lp_norm_rn(phi: SeparableFunction, p: float) -> float:
-    """|phi|_p by polar quadrature: 2048 Gauss-Legendre radii times the
-    sphere grid.  |phi|^p and its radial sum are taken once per class of
-    grid nodes with equal angular values (SeparableFunction.node_classes),
-    then spread back to the nodes for the angular weights.
+    """|phi|_p by polar quadrature on 2048 Gauss-Legendre radii times the
+    sphere grid, with |phi|^p and its radial sums taken once per class of
+    equal angular columns (SeparableFunction.node_classes).
 
     The radial rule is built on first use and cached for the life of the
     process (sphere.gauss_legendre): the first call pays about 0.1 s for it,
@@ -107,8 +107,7 @@ def lp_norm_rn(phi: SeparableFunction, p: float) -> float:
     grid = phi.grid
     first, index = phi.node_classes()
     vals = phi.values_polar(np.append(rg, r_max), first)
-    with np.errstate(over="ignore"):
-        powered = np.abs(vals) ** p
+    powered = np.abs(vals) ** p
     total = float(((wg * rg * rg) @ powered[:-1])[index] @ grid.weights)
     # boundary-contribution estimate: integrand level at the grid edge times
     # one more copy of the radial extent
@@ -119,7 +118,7 @@ def lp_norm_rn(phi: SeparableFunction, p: float) -> float:
             f"1e-06 of the integral {total:.3e}; |phi|^p is not "
             "captured by the truncated grid"
         )
-    return lp_root(total, p, bool(np.any(vals[:-1])))
+    return lp_root(total, p, vals[:-1])
 
 
 # ----------------------------------------------------------------------------

@@ -435,23 +435,24 @@ def require_exponent(p: float) -> None:
         raise OutOfRange(f"p must be positive and finite, got {p}")
 
 
-def lp_root(total: float, p: float, nonzero: bool) -> float:
-    """total^(1/p) for a quadrature sum total of |f|^p.  Raises OutOfRange
-    when the sum or its root overflows, or underflows to 0 while f is
-    non-zero on the grid (``nonzero``)."""
-    with np.errstate(over="ignore"):
-        root = float(np.float64(total) ** (1.0 / p))
-    if not math.isfinite(root) or (root == 0.0 and nonzero):
+def lp_root(total: float, p: float, values: np.ndarray) -> float:
+    """total^(1/p) for a quadrature sum total of |f|^p over the samples
+    ``values`` of f.  Raises OutOfRange when the sum or its root overflows,
+    or underflows to 0 while f is non-zero on the grid."""
+    try:
+        root = total ** (1.0 / p)
+    except OverflowError:
+        root = math.inf
+    if not math.isfinite(root) or (root == 0.0 and np.any(values)):
         raise OutOfRange(f"the L^p norm at p = {p:g} is out of double range "
                          f"(sum of |f|^p {total:.3e})")
     return root
 
 
+@np.errstate(over="ignore")     # lp_root refuses what overflows
 def lp_norm_sphere(f: SphericalFunction, p: float) -> float:
     """Quadrature approximation of (integral |f|^p over S^2)^(1/p); p > 0.
     Raises OutOfRange when the norm is out of double range (lp_root)."""
     require_exponent(p)
     grid, values = _as_values(f)
-    with np.errstate(over="ignore"):
-        total = float(grid.weights @ np.abs(values) ** p)
-    return lp_root(total, p, bool(np.any(values)))
+    return lp_root(float(grid.weights @ np.abs(values) ** p), p, values)
