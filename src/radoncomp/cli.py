@@ -221,7 +221,7 @@ def _run_certify_intersection(cfg, out, scale):
         tail_correction=cfg.tail_correction)
     d = int(np.argmin(cert.minima))                 # the lowest row
     write_transform_csv(out / "transform_worst_direction.csv", cert.omega,
-                        cert.mhat[d])
+                        cert.rows[cert.index[d]])
     code = EXIT_OK if cert.is_intersection_function else EXIT_HYPOTHESIS
     return (code, [cert.to_json_dict()],
             {},

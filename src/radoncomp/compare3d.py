@@ -45,6 +45,7 @@ from .radon3d import (
     RowBlock,
     SeparableFunction,
     Sinogram,
+    _column_classes,
     certify_intersection_function,
     cubic_spline,
     hemisphere_indices,
@@ -59,11 +60,8 @@ from .sphere import (
 )
 
 __all__ = [
-    "RnComparisonReport",
-    "lp_norm_rn",
-    "sinogram_dominates",
-    "verify_comparison_radon",
-    "construct_counterexample_radon",
+    "RnComparisonReport", "lp_norm_rn", "sinogram_dominates",
+    "verify_comparison_radon", "construct_counterexample_radon",
 ]
 
 
@@ -125,13 +123,21 @@ def lp_norm_rn(phi: SeparableFunction, p: float) -> float:
 # Sinogram domination
 # ----------------------------------------------------------------------------
 
+def _joint_rows(a: Sinogram, b: Sinogram):
+    """(a rows, b rows, index) on the joint classes of a's and b's directions."""
+    first, index = _column_classes(np.stack([a.index, b.index]))
+    return a.rows[a.index[first]], b.rows[b.index[first]], index
+
+
 def sinogram_dominates(a: Sinogram, b: Sinogram) -> float:
-    """min over all samples of b - a; negative means domination fails."""
-    if a.values.shape != b.values.shape \
+    """min over all samples of b - a, exactly, from the joint class rows;
+    negative means domination fails."""
+    if (len(a.index), len(a.t)) != (len(b.index), len(b.t)) \
             or np.max(np.abs(a.t - b.t)) > 1e-12 \
             or np.max(np.abs(a.directions - b.directions)) > 1e-12:
         raise GridMismatch("sinograms are sampled on different (t, theta) grids")
-    return float(np.min(b.values - a.values))
+    rows_a, rows_b, _ = _joint_rows(a, b)
+    return float(np.min(rows_b - rows_a))
 
 
 # ----------------------------------------------------------------------------
@@ -173,7 +179,7 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
         if m < -1e-9 * max(abs(m), 1.0):
             raise InputInvalid(f"{name} must be non-negative (min {m:.3e})")
     r_phi, r_psi = _sinogram_pair(phi, psi)
-    scale = max(float(np.max(np.abs(r_psi.values))), 1e-300)
+    scale = max(float(np.max(np.abs(r_psi.rows))), 1e-300)
     margin = sinogram_dominates(r_phi, r_psi)
     if margin < -rel_tol * scale:
         raise DominationFails(
@@ -192,8 +198,9 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
 
     if p == 1.0:
         gap = lp_psi - lp_phi
+        rows_phi, rows_psi, index = _joint_rows(r_phi, r_psi)
         sino_gap = float(w_dir @ np.trapezoid(
-            r_psi.values - r_phi.values, r_psi.t, axis=1)) / (4.0 * math.pi)
+            rows_psi - rows_phi, r_psi.t, axis=1)[index]) / (4.0 * math.pi)
         resid = abs(gap - sino_gap) / max(abs(gap), lp_phi, 1e-300)
         return report(
             certificate=None,
@@ -359,7 +366,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
     # direction average with the verifier's hemisphere weights; a radial
     # certificate has one direction, whose transform is taken as it is
     w_dir = 2.0 * grid.weights[hemisphere_indices(grid)] \
-        if len(cert.mhat) > 1 else np.ones(1)
+        if len(cert.directions) > 1 else np.ones(1)
     omega = cert.omega
     mhat = w_dir @ cert.mhat / w_dir.sum()
     t_star, half = _negative_window(omega, mhat)
@@ -409,7 +416,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
         )
     r_phi, r_psi = _sinogram_pair(phi, psi)
     margin = sinogram_dominates(r_phi, r_psi)
-    scale = max(float(np.max(np.abs(r_psi.values))), 1e-300)
+    scale = max(float(np.max(np.abs(r_psi.rows))), 1e-300)
     if margin < -rel_tol * scale:
         raise ConstructionFailed(
             f"constructed phi violates sinogram domination (margin "

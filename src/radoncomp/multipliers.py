@@ -155,7 +155,10 @@ def certify_pd_r1(f: SphericalFunction, q: float,
     grid = f.grid
     base_l = f.spectrum.l_max if f.spectrum is not None else grid.bandwidth // 2
     l_power = min(2 * base_l, grid.bandwidth)
-    power = SphericalFunction(grid, f.values ** q, parity="even")
+    with np.errstate(over="ignore"):        # refused below
+        power = SphericalFunction(grid, f.values ** q, parity="even")
+    if not np.all(np.isfinite(power.values)):
+        raise OutOfRange(f"f^q at q = {q:g} is out of double range")
     spec = analyze(power, l_power)
     back = synthesize(spec, grid)
     truncation_residual = float(np.max(np.abs(back.values - power.values)))

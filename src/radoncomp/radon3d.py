@@ -47,27 +47,13 @@ from .sphere import (
 )
 
 __all__ = [
-    "RadialProfile",
-    "SeparableFunction",
-    "RowBlock",
-    "Sinogram",
-    "IntersectionCertificate",
-    "symmetric_nodes",
-    "fourier_1d",
-    "radial_profile",
-    "separable_radial",
-    "separable_from_polar_samples",
-    "separable_power",
-    "mollified_ball",
-    "hemisphere_indices",
-    "radon_transform",
-    "radon_direct_point",
-    "certify_intersection_function",
-    "classification_witness",
-    "catalog_entry",
-    "CATALOG_NAMES",
-    "PAIRING_CONSTANT",
-    "RELATION_CONSTANT",
+    "RadialProfile", "SeparableFunction", "RowBlock", "Sinogram",
+    "IntersectionCertificate", "symmetric_nodes", "fourier_1d",
+    "radial_profile", "separable_radial", "separable_from_polar_samples",
+    "separable_power", "mollified_ball", "hemisphere_indices",
+    "radon_transform", "radon_direct_point", "certify_intersection_function",
+    "classification_witness", "catalog_entry", "CATALOG_NAMES",
+    "PAIRING_CONSTANT", "RELATION_CONSTANT",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -302,6 +288,19 @@ def _with_origin(u: Callable, u0: float) -> Callable:
     return at
 
 
+def _column_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, index): the first column of each class of columns of a (K, N)
+    table that agree exactly in every row (all, when K = 0), and each
+    column's class."""
+    # np.lexsort, not np.unique: np.unique loads numpy.ma
+    order = np.lexsort(cols[::-1]) if len(cols) else np.arange(cols.shape[1])
+    ordered = cols[:, order]
+    new = np.r_[True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)]
+    index = np.empty(len(order), dtype=int)
+    index[order] = np.cumsum(new) - 1
+    return order[new], index
+
+
 def _constant_angular(grid: SphereGrid) -> SphericalFunction:
     return SphericalFunction(grid, np.ones(grid.n_nodes),
                              HarmonicSpectrum.mode(0, 0, math.sqrt(FOUR_PI)), "even")
@@ -402,13 +401,7 @@ class SeparableFunction:
         """(first, index): the first node of each class of grid nodes whose
         angular values agree exactly in every row of every block, and each
         node's class.  values_polar(r, first)[:, index] is values_polar(r)."""
-        cols = np.concatenate([b.values for b in self.blocks])
-        order = np.lexsort(cols[::-1])   # not np.unique: it loads numpy.ma
-        ordered = cols[:, order]
-        new = np.r_[True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)]
-        index = np.empty(len(order), dtype=int)
-        index[order] = np.cumsum(new) - 1
-        return order[new], index
+        return _column_classes(np.concatenate([b.values for b in self.blocks]))
 
     def scaled(self, c: float) -> "SeparableFunction":
         fr = self.fourier_radial
@@ -555,11 +548,18 @@ def hemisphere_indices(grid: SphereGrid) -> np.ndarray:
 
 @dataclass
 class Sinogram:
-    """Radon-transform samples: one row of values per direction."""
+    """Radon-transform samples: one row of values per class of directions
+    whose transforms agree exactly, and the class of each direction."""
 
     t: np.ndarray                 # (n_t,) symmetric uniform offsets
     directions: np.ndarray        # (D, 3) unit vectors
-    values: np.ndarray            # (D, n_t)
+    rows: np.ndarray              # (C, n_t), one per class
+    index: np.ndarray             # (D,) class of each direction
+
+    @property
+    def values(self) -> np.ndarray:
+        """(D, n_t): the row of each direction."""
+        return self.rows[self.index]
 
     @property
     def dt(self) -> float:
@@ -568,12 +568,12 @@ class Sinogram:
 
     def evenness_residual(self) -> float:
         n = len(self.t)
-        v = self.values[:, 1:] if n % 2 == 0 else self.values
+        v = self.rows[:, 1:] if n % 2 == 0 else self.rows
         resid = np.max(np.abs(v - v[:, ::-1]))
-        return float(resid) / max(float(np.max(np.abs(self.values))), 1e-300)
+        return float(resid) / max(float(np.max(np.abs(self.rows))), 1e-300)
 
     def masses(self) -> np.ndarray:
-        return np.trapezoid(self.values, self.t, axis=1)
+        return np.trapezoid(self.rows, self.t, axis=1)[self.index]
 
     def mass_residual(self) -> float:
         m = self.masses()
@@ -585,7 +585,7 @@ class Sinogram:
                     f"# t_max,{float(-self.t[0])!r}\n# dt,{self.dt!r}\n"
                     f"# n_t,{len(self.t)}\n"
                     "# columns: dir_x,dir_y,dir_z,values...\n",
-                    self.values, lead=self.directions)
+                    self.rows, lead=self.directions, index=self.index)
 
 
 # ----------------------------------------------------------------------------
@@ -648,11 +648,13 @@ def _degree_plane_integral(profile: RadialProfile, k: int,
 
 
 def _by_degree(f: SeparableFunction, directions: np.ndarray, n_out: int,
-               kernel: Callable, even_only: bool = False) -> np.ndarray:
+               kernel: Callable, even_only: bool = False) -> tuple:
     """Sum over blocks, and over the degrees k in which a block's
     coefficients are nonzero, of the rows' Y_k at the directions times
-    kernel(k, profile of the rows with content in k): (D, n_out)."""
-    out = np.zeros((len(directions), n_out))
+    kernel(k, profile of the rows with content in k), once per class of
+    directions whose Y_k agree exactly in every term: (rows (C, n_out),
+    index (D,)), where rows[index] is the (D, n_out) table."""
+    terms = []
     for b in f.blocks:
         ang = degree_values_rows(b.coeffs, directions)
         deg = HarmonicSpectrum.mode(len(ang) - 1, 0).degrees()
@@ -660,9 +662,14 @@ def _by_degree(f: SeparableFunction, directions: np.ndarray, n_out: int,
         for k in sorted(set(deg[b.coeffs.any(axis=1)].tolist())):
             if k % 2 == 0 or not even_only:
                 rows = np.flatnonzero(b.coeffs[deg == k].any(axis=0))
-                prof = RadialProfile(b.samples[rows], f.r_max, b.profile.decay)
-                out += np.einsum("qa,qb->ab", ang[k, rows], kernel(k, prof))
-    return out
+                terms.append((b, k, rows, ang[k, rows]))
+    first, index = _column_classes(np.concatenate(
+        [np.empty((0, len(directions)))] + [a for *_, a in terms]))
+    out = np.zeros((len(first), n_out))
+    for b, k, rows, a in terms:
+        prof = RadialProfile(b.samples[rows], f.r_max, b.profile.decay)
+        out += np.einsum("qa,qb->ab", a[:, first], kernel(k, prof))
+    return out, index
 
 
 def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
@@ -697,10 +704,10 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
     uniq = np.sort(t_abs)
     uniq = uniq[np.r_[True, uniq[1:] != uniq[:-1]]]
     inv = np.searchsorted(uniq, t_abs)
-    values = _by_degree(phi, directions, len(t), lambda k, prof: (
-        _radial_plane_integral(prof, uniq) if k == 0
-        else _degree_plane_integral(prof, k, uniq))[:, inv])
-    return Sinogram(np.asarray(t, float), np.asarray(directions, float), values)
+    return Sinogram(np.asarray(t, float), np.asarray(directions, float),
+                    *_by_degree(phi, directions, len(t), lambda k, prof: (
+                        _radial_plane_integral(prof, uniq) if k == 0
+                        else _degree_plane_integral(prof, k, uniq))[:, inv]))
 
 
 def radon_direct_point(phi: SeparableFunction, t: float,
@@ -811,10 +818,17 @@ def fourier_along_rays(f: SeparableFunction, directions: np.ndarray,
         (u * Y_k)^(r theta) = 4 pi (-1)^{k/2} Y_k(theta) int u(s) j_k(rs) s^2 ds,
     taken for k = 0 in its sine form (4 pi / r) int s u(s) sin(rs) ds.
     """
-    r_vals = np.asarray(r_vals, dtype=float)
-    directions = np.atleast_2d(directions)
+    rows, index = _fourier_rows(f, np.atleast_2d(directions),
+                                np.asarray(r_vals, dtype=float))
+    return rows[index]
+
+
+def _fourier_rows(f: SeparableFunction, directions: np.ndarray,
+                  r_vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """fourier_along_rays once per class of directions: (rows, index)."""
     if f.fourier_radial is not None and f.is_radial:
-        return np.tile(f.fourier_radial(r_vals), (len(directions), 1))
+        return (f.fourier_radial(r_vals)[None, :],
+                np.zeros(len(directions), dtype=int))
     return _by_degree(f, directions, len(r_vals), lambda k, prof: (
         _radial_fourier(prof, r_vals) if k == 0 else (-1.0) ** (k // 2)
         * FOUR_PI * _degree_radial_fourier(prof, k, r_vals)), even_only=True)
@@ -882,21 +896,32 @@ def _degree_radial_fourier(profile: RadialProfile, k: int,
 class IntersectionCertificate:
     """Bochner test of every ray profile m_theta(r) = r^2 f^(r theta) at once.
 
-    Row d of the (D, n) table mhat is the 1D transform of m_theta at
-    directions[d] on the frequency grid omega, which is also the density of
-    the ray measure mu_theta.  A row fails when its minimum lies below
-    -tolerance[d]; f is an intersection function when no row fails.
+    Row index[d] of the (C, n) table rows (row d by default) is the 1D
+    transform of m_theta at directions[d] on the frequency grid omega, and
+    the density of the ray measure mu_theta.  Direction d fails when that
+    row's minimum lies below -tolerance[d] (tolerance is given per row and
+    kept per direction); f is an intersection function when none fails.
     """
 
     directions: np.ndarray           # (D, 3)
     omega: np.ndarray                # (n,)
-    mhat: np.ndarray                 # (D, n)
-    tolerance: np.ndarray            # (D,)
+    rows: np.ndarray                 # (C, n)
+    tolerance: np.ndarray            # (C,) given, (D,) kept
+    index: np.ndarray | None = None  # (D,) class of each direction
 
     def __post_init__(self):
-        self.lowest = np.argmin(self.mhat, axis=1)       # per row
-        self.minima = np.take_along_axis(self.mhat, self.lowest[:, None], 1)[:, 0]
+        if self.index is None:
+            self.index = np.arange(len(self.rows))
+        lowest = np.argmin(self.rows, axis=1)            # per class
+        minima = np.take_along_axis(self.rows, lowest[:, None], 1)[:, 0]
+        self.lowest, self.minima = lowest[self.index], minima[self.index]
+        self.tolerance = np.asarray(self.tolerance)[self.index]
         self.failing = self.minima < -self.tolerance
+
+    @property
+    def mhat(self) -> np.ndarray:
+        """(D, n): the row of each direction."""
+        return self.rows[self.index]
 
     @property
     def is_intersection_function(self) -> bool:
@@ -917,17 +942,17 @@ class IntersectionCertificate:
 
     @property
     def per_direction(self) -> list:
-        """One PDCertificate per row, its transform a view of the table."""
+        """One PDCertificate per direction, its transform a view of its row."""
         return [PDCertificate(
             "not-positive-definite" if bad else "positive-definite",
-            float(self.omega[i]), float(v), float(tol), (self.omega, row))
-            for i, v, tol, bad, row in zip(self.lowest, self.minima,
-                                           self.tolerance, self.failing,
-                                           self.mhat)]
+            float(self.omega[i]), float(v), float(tol), (self.omega, self.rows[c]))
+            for i, v, tol, bad, c in zip(self.lowest, self.minima,
+                                         self.tolerance, self.failing,
+                                         self.index)]
 
     def to_json_dict(self) -> dict:
         """The report's certificate shape: the witness direction, and the
-        value and tolerance of the row whose transform reaches lowest."""
+        value and tolerance of the direction whose transform reaches lowest."""
         wp, d = self.witness_direction, int(np.argmin(self.minima))
         return {
             "verdict": self.verdict,
@@ -948,18 +973,25 @@ def ray_profile_samples(f: SeparableFunction, directions: np.ndarray,
                         r_max: float = DEFAULT_T_MAX,
                         n: int = DEFAULT_N) -> tuple[np.ndarray, np.ndarray]:
     """m_theta on the symmetric offset grid, per direction: (r_nodes, (D, n))."""
+    r_nodes, m, index = _ray_profile_rows(f, np.atleast_2d(directions), r_max, n)
+    return r_nodes, m[index]
+
+
+def _ray_profile_rows(f: SeparableFunction, directions: np.ndarray,
+                      r_max: float, n: int):
+    """ray_profile_samples once per class of directions: (r, rows, index)."""
     r_nodes = symmetric_nodes(n, r_max)
     r_pos = r_nodes[n // 2 + 1:]
-    fhat = fourier_along_rays(f, directions, r_pos)
+    fhat, index = _fourier_rows(f, directions, r_pos)
     m_pos = r_pos[None, :] ** 2 * fhat
-    m = np.zeros((len(np.atleast_2d(directions)), n))
+    m = np.zeros((len(fhat), n))
     m[:, n // 2 + 1:] = m_pos
     m[:, 1:n // 2] = m_pos[:, ::-1][:, :n // 2 - 1]
     # continuous extension to r = 0: m is even, so extrapolate quadratically
     # in r^2 through the first three nodes (exact through r^4 terms)
     m[:, n // 2] = 1.5 * m_pos[:, 0] - 0.6 * m_pos[:, 1] + 0.1 * m_pos[:, 2]
     m[:, 0] = m_pos[:, -1]
-    return r_nodes, m
+    return r_nodes, m, index
 
 
 def certify_intersection_function(f: SeparableFunction,
@@ -970,7 +1002,7 @@ def certify_intersection_function(f: SeparableFunction,
                                   tail_correction: bool = False) -> IntersectionCertificate:
     """Bochner test for every direction at once: m_theta is positive
     definite iff its 1D transform is non-negative (within -rel_tol * max of
-    its row), and all rows transform in one fourier_1d call.
+    its row), one row per class of equal directions, all in one fourier_1d call.
 
     With tail_correction=True a profile decaying like c/r^2 (slower than the
     hard truncation gate allows) is admitted: the matched Cauchy profile
@@ -982,20 +1014,21 @@ def certify_intersection_function(f: SeparableFunction,
     f.require_finite()
     directions = np.array([[0.0, 0.0, 1.0]]) if f.is_radial \
         else f.grid.nodes[hemisphere_indices(f.grid)]
-    r_nodes, m = ray_profile_samples(f, directions, r_max, n)
+    r_nodes, m, index = _ray_profile_rows(f, directions, r_max, n)
     if not np.all(np.isfinite(m)):
         raise InputInvalid("the ray profile r^2 f^(r theta) has non-finite "
                            "values; no certificate is given")
     dt = 2.0 * r_max / n
     peak = np.max(np.abs(m), axis=1)
     tail = np.max(np.abs(m[:, [0, 1, -1]]), axis=1)
-    tail_coeff = np.zeros(len(directions))
+    tail_coeff = np.zeros(len(m))
     if np.any(tail > tail_tol * np.maximum(peak, 1e-300)):
-        d_bad = int(np.argmax(tail / np.maximum(peak, 1e-300)))
+        d_bad = int(np.argmax((tail / np.maximum(peak, 1e-300))[index]))
+        c_bad = index[d_bad]
         if not tail_correction:
             raise GridTooCoarse(
-                f"ray profile tail {tail[d_bad]:.3e} exceeds {tail_tol:.0e} x peak "
-                f"{peak[d_bad]:.3e} at the grid boundary (direction {directions[d_bad]})"
+                f"ray profile tail {tail[c_bad]:.3e} exceeds {tail_tol:.0e} x peak "
+                f"{peak[c_bad]:.3e} at the grid boundary (direction {directions[d_bad]})"
             )
         # admit c / r^2 tails only: the coefficient must be stable over the
         # outer octave of the grid
@@ -1028,7 +1061,7 @@ def certify_intersection_function(f: SeparableFunction,
     # decaying transforms approach zero at the frequency-grid edge, so a
     # minimum of ~0 is the generic positive case, not a borderline one
     tol = rel_tol * np.maximum(np.max(np.abs(mhat), axis=1), 1e-300)
-    return IntersectionCertificate(directions, omega, mhat, tol)
+    return IntersectionCertificate(directions, omega, mhat, tol, index)
 
 
 # ----------------------------------------------------------------------------

@@ -128,29 +128,24 @@ def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
     return report
 
 
-def write_table(path: str | Path, header: str, table, lead=None) -> None:
-    """Write ``header``, then one comma-separated line per row of ``table``,
-    after the same row of ``lead`` when given, with every cell as
-    ``repr(float)``.
-
-    The cells of ``table`` are formatted once per distinct row, told apart
-    by bit pattern (so -0.0 stays -0.0), and the file is written row by row:
-    only the text of the distinct rows is held.  A sinogram passes its
-    directions as ``lead``, so a radial one formats its values once.
-    """
-    table = np.ascontiguousarray(table, dtype=float)
-    prefix = [""] * len(table) if lead is None else \
+def write_table(path: str | Path, header: str, table, lead=None,
+                index=None) -> None:
+    """Write ``header``, then one comma-separated line per entry i of
+    ``index`` (each row of ``table`` in turn by default): row i of ``lead``
+    when given, then row ``index[i]`` of ``table``, every cell as
+    ``repr(float)``.  Each row of ``table`` is formatted once, however often
+    ``index`` names it: a sinogram passes its class rows, its directions as
+    ``lead`` and their classes as ``index``."""
+    lines = [",".join(map(repr, row.tolist())) + "\n"
+             for row in np.ascontiguousarray(table, dtype=float)]
+    if index is None:
+        index = range(len(lines))
+    prefix = [""] * len(index) if lead is None else \
         [",".join(map(repr, row)) + "," for row in np.asarray(lead, float).tolist()]
-    lines = {}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
-        for pre, row in zip(prefix, table):
-            key = row.tobytes()
-            line = lines.get(key)
-            if line is None:
-                line = lines[key] = ",".join(map(repr, row.tolist())) + "\n"
-            fh.write(pre)
-            fh.write(line)
+        for pre, i in zip(prefix, index):
+            fh.write(pre + lines[i])
 
 
 def write_sphere_csv(path: str | Path, f: SphericalFunction) -> None:

@@ -18,6 +18,7 @@ import scipy.special
 from radoncomp import radon3d
 from radoncomp.compare3d import (
     _bump_profiles,
+    _integral_against,
     _pair_with_measures,
     construct_counterexample_radon,
     lp_norm_rn,
@@ -43,6 +44,7 @@ from radoncomp.radon3d import (
     mollified_ball,
     radial_profile,
     radon_transform,
+    ray_profile_samples,
     separable_power,
     separable_radial,
     symmetric_nodes,
@@ -196,6 +198,96 @@ def test_columns_one_ulp_apart_are_different_classes(grid16):
     first, index = f.node_classes()
     assert len(first) == 2
     assert index[5] != index[0] and index[5] == index[grid16.antipode[5]]
+
+
+def _m1_factor(grid):
+    """e^{-r^2} + 0.2 r^2 e^{-1.2 r^2} (x + 0.3 y) z: a degree-2 mode with
+    m = 1 at a generic phase, made exactly even; no two hemisphere
+    directions share its transform."""
+    x, y, z = grid.nodes.T
+    v = 0.2 * (x + 0.3 * y) * z
+    return SeparableFunction([
+        (radial_profile(lambda r: np.exp(-np.asarray(r, float) ** 2)),
+         SphericalFunction(grid, np.ones(grid.n_nodes), parity="even")),
+        (radial_profile(lambda r: np.asarray(r, float) ** 2
+                        * np.exp(-1.2 * np.asarray(r, float) ** 2)),
+         SphericalFunction(grid, 0.5 * (v + v[grid.antipode]),
+                           parity="even"))])
+
+
+SINOGRAM_CLASSES = {"gaussian": 1, "rn-mix-p2": 8, "m1-factor": 256}
+
+
+def _class_input(name, grid):
+    return _m1_factor(grid) if name == "m1-factor" \
+        else CLASS_INPUTS[name](grid)
+
+
+@pytest.mark.parametrize("name", sorted(SINOGRAM_CLASSES))
+def test_sinogram_rows_once_per_class_of_directions(grid16, name):
+    # one row per polar ring for P_2(z), one for a radial input; each row
+    # has the bits of the transform taken at one of its directions alone
+    f = _class_input(name, grid16)
+    sino = radon_transform(f)
+    assert sino.rows.shape == (SINOGRAM_CLASSES[name], 2048)
+    assert sino.values.shape == (256, 2048)
+    for d in (0, 37, 255):
+        alone = radon_transform(f, directions=sino.directions[d:d + 1])
+        assert np.array_equal(alone.rows[0], sino.values[d])
+
+
+def test_domination_over_joint_classes_is_the_full_minimum(grid16):
+    sinos = {name: radon_transform(_class_input(name, grid16))
+             for name in SINOGRAM_CLASSES}
+    for a in sinos.values():
+        for b in sinos.values():
+            assert sinogram_dominates(a, b) == float(np.min(b.values
+                                                            - a.values))
+    # the p = 1 sinogram gap, from the joint rows, has the full table's bits
+    phi, psi = _rn_mix_p2(grid16), gaussian(grid16, width=1.3, amp=3.0)
+    rep = verify_comparison_radon(phi, psi, 1.0)
+    r_phi, r_psi = rep.sinograms
+    w_dir = 2.0 * grid16.weights[hemisphere_indices(grid16)]
+    assert rep.chain["sinogram_gap"] == float(w_dir @ np.trapezoid(
+        r_psi.values - r_phi.values, r_psi.t, axis=1)) / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("name", ["rn-mix-p2", "m1-factor"])
+def test_class_certificate_matches_one_row_per_direction(grid16, name):
+    cert = certify_intersection_function(_class_input(name, grid16))
+    full = radon3d.IntersectionCertificate(cert.directions, cert.omega,
+                                           cert.mhat, cert.tolerance)
+    assert cert.to_json_dict() == full.to_json_dict()
+    for a, b in zip(cert.per_direction, full.per_direction, strict=True):
+        assert (a.verdict, a.witness_point, a.witness_value, a.tolerance) \
+            == (b.verdict, b.witness_point, b.witness_value, b.tolerance)
+        assert np.array_equal(a.transform_data[1], b.transform_data[1])
+
+
+def test_tail_refusal_names_the_worst_direction(grid16):
+    # the ratio is taken per class and gathered: the message names the
+    # first direction of the per-direction table that reaches the worst
+    f = _rn_mix_p2(grid16)
+    dirs = grid16.nodes[hemisphere_indices(grid16)]
+    _, m = ray_profile_samples(f, dirs, 4.0, 2048)
+    ratio = np.max(np.abs(m[:, [0, 1, -1]]), axis=1) / np.max(np.abs(m), axis=1)
+    with pytest.raises(GridTooCoarse) as info:
+        certify_intersection_function(f, r_max=4.0)
+    assert f"(direction {dirs[np.argmax(ratio)]})" in str(info.value)
+
+
+@pytest.mark.parametrize("name", ["gaussian", "rn-mix-p2"])
+def test_pairing_matches_the_direct_integral(grid16, name):
+    # the affirmative chain's step int w phi = C int int R phi dmu_theta:
+    # the erf-type certificate's ray measures against a sinogram, checked
+    # by polar quadrature of w phi
+    w = catalog_entry("erf-type", grid16).f
+    cert = certify_intersection_function(w)
+    phi = _class_input(name, grid16)
+    weights = 2.0 * grid16.weights[hemisphere_indices(grid16)]
+    got = _pair_with_measures(radon_transform(phi), cert, weights)
+    want = _integral_against(w, phi)
+    assert abs(got - want) <= 1e-9 * abs(want)
 
 
 def test_lp_norm_memory_bound(grid16):

@@ -10,6 +10,7 @@ Independent oracles used here:
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -241,6 +242,18 @@ def test_certify_pd_refuses_non_finite_power(grid16, q):
     f = SphericalFunction(grid16, 1.0 + 0.15 * (3 * z * z - 1.0), parity="even")
     with pytest.raises(OutOfRange, match="q must be finite"):
         certify_pd_r1(f, q)
+
+
+@pytest.mark.parametrize("q", [1e6 - 1.0, -1e6])
+def test_certify_pd_refuses_overflowing_power(grid16, q):
+    # f runs over [0.85, 1.3], so f^q overflows where f > 1 (q > 0) or
+    # f < 1 (q < 0): refused, not "inconclusive" with a NaN witness
+    z = grid16.nodes[:, 2]
+    f = SphericalFunction(grid16, 1.0 + 0.15 * (3 * z * z - 1.0), parity="even")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfRange, match="out of double range"):
+            certify_pd_r1(f, q)
 
 
 def test_certify_pd_rejects_nonpositive(grid16):

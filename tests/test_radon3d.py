@@ -650,7 +650,7 @@ def test_certificate_transforms_all_directions_in_one_call(grid16,
 
     monkeypatch.setattr(radon3d, "fourier_1d", counted)
     cert = certify_intersection_function(_nonradial_psi(grid16))
-    assert calls == [(256, 2048)]
+    assert calls == [(8, 2048)]       # one row per polar ring of P_2(z)
     assert cert.mhat.shape == (256, 2048) and len(cert.per_direction) == 256
 
 
