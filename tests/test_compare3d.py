@@ -236,6 +236,15 @@ def test_sinogram_rows_once_per_class_of_directions(grid16, name):
         assert np.array_equal(alone.rows[0], sino.values[d])
 
 
+def test_zero_angular_factor_has_one_class_of_zeros(grid16):
+    # no live degree leaves no angular value to tell directions apart
+    f = SeparableFunction([(radial_profile(lambda r: np.exp(-r * r)),
+                            SphericalFunction(grid16, np.zeros(grid16.n_nodes),
+                                              parity="even"))])
+    sino = radon_transform(f)
+    assert sino.rows.shape == (1, 2048) and not sino.values.any()
+
+
 def test_domination_over_joint_classes_is_the_full_minimum(grid16):
     sinos = {name: radon_transform(_class_input(name, grid16))
              for name in SINOGRAM_CLASSES}
