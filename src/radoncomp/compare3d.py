@@ -363,12 +363,12 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
             "exists"
         )
     grid = psi.grid
-    # direction average with the verifier's hemisphere weights; a radial
-    # certificate has one direction, whose transform is taken as it is
+    # direction average with the verifier's hemisphere weights, summed per
+    # class first; a radial certificate's one direction is taken as it is
     w_dir = 2.0 * grid.weights[hemisphere_indices(grid)] \
         if len(cert.directions) > 1 else np.ones(1)
     omega = cert.omega
-    mhat = w_dir @ cert.mhat / w_dir.sum()
+    mhat = np.bincount(cert.index, w_dir) @ cert.rows / w_dir.sum()
     t_star, half = _negative_window(omega, mhat)
 
     # lattice search for the most negative int w h

@@ -14,7 +14,7 @@ class BandwidthExceeded(RadoncompError):
 
 
 class OutOfRange(RadoncompError):
-    """Arguments out of range: a multiplier's k and p, or an exponent p."""
+    """Out of range: a multiplier's k and p, an exponent, a norm, a report number."""
 
 
 class NotPositive(RadoncompError):

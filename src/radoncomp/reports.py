@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import OutOfRange
 from .sphere import SphericalFunction
 
 __all__ = [
@@ -94,11 +95,20 @@ def _jsonable(obj):
     return obj
 
 
+def _strict_json(doc: dict, name: str) -> str:
+    """doc as strict JSON text; OutOfRange for a NaN or infinite number."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise OutOfRange(f"{name} would hold a NaN or infinite number") from None
+
+
 def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
                 certificates: list, norms: dict, margins: dict,
                 residuals: dict, wall_seconds: float, exit_code: int,
                 notes: str = "", raw_config: dict | None = None) -> dict:
-    """Write report.json and manifest.json; returns the report dict."""
+    """Write report.json and manifest.json as strict JSON; returns the report
+    dict.  OutOfRange, with neither file written, for a NaN or an infinity."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = {
@@ -113,18 +123,16 @@ def emit_report(out_dir: str | Path, scenario: str, inputs: dict,
         "timing": {"wall_seconds": float(wall_seconds)},
     }
     validate_report(report)
-    with open(out / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     manifest = {
         "scenario": scenario,
         "config": _jsonable(raw_config or {}),
         "library_version": __version__,
         "wall_seconds": float(wall_seconds),
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    texts = {"report.json": _strict_json(report, "report.json"),
+             "manifest.json": _strict_json(manifest, "manifest.json")}
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
     return report
 
 

@@ -11,10 +11,11 @@ real orthonormal spherical harmonics without the Condon-Shortley phase,
 where Q_k^m = sqrt((2k+1)/(4 pi) * (k-m)!/(k+m)!) * P_k^m (P_k^m without the
 (-1)^m phase).  Coefficients are stored flat with index k*k + k + m.
 
-Analysis (``analyze_rows``), synthesis and point evaluation
-(``degree_values_rows``) all contract the Legendre table with complex
-(k, |m|) blocks of the flat coefficients, blocked by order m as in SHTns
-(Schaeffer, G^3 2013).
+The Legendre table of a grid is q[m, k, i] (order, degree, polar ring) and
+the flat coefficients map to real blocks b[m, k] = s_m (a_{k,m}, a_{k,-m}),
+blocked by order m as in SHTns (Schaeffer, G^3 2013): analysis and synthesis
+are one batched matrix product over m each, (m, k, i) @ (m, i, 2c) after the
+ring integrals and (m, i, k) @ (m, k, 2) before the sums over the azimuth.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def _legendre_rows(l_max: int, x: np.ndarray):
 
 
 def normalized_legendre_table(l_max: int, x: np.ndarray) -> np.ndarray:
-    """Q_k^m(x) for 0 <= m <= k <= l_max, shape (l_max+1, l_max+1, len(x));
-    entries with m > k are zero."""
+    """Q_k^m(x_i) as q[m, k, i] for 0 <= m <= k <= l_max, shape (l_max+1,
+    l_max+1, len(x)); entries with m > k are zero."""
     q = np.zeros((l_max + 1, l_max + 1, np.size(x)))
     for k, row in enumerate(_legendre_rows(l_max, x)):
-        q[k, :k + 1] = row[:k + 1]   # m > k unwritten: untouched zero pages cost no RSS
+        q[:k + 1, k] = row[:k + 1]   # m > k unwritten: untouched zero pages cost no RSS
     return q
 
 
@@ -233,34 +234,32 @@ def _flat_index(k, m):
 
 
 @lru_cache(maxsize=64)
-def _layout(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Degree k, order |m| and block factor (s_m for cosine slots, -i s_m for
-    sine ones; s_0 = 1, s_m = sqrt 2) of every flat slot, read-only."""
+def _layout(l_max: int) -> tuple[np.ndarray, ...]:
+    """Degree k, order |m|, part (0 for cosine slots, 1 for sine ones) and
+    factor s_m (s_0 = 1, s_m = sqrt 2) of every flat slot, read-only."""
     deg = np.repeat(np.arange(l_max + 1), 2 * np.arange(l_max + 1) + 1)
     m = np.arange(deg.size) - _flat_index(deg, 0)
-    s = np.where(m == 0, 1.0, math.sqrt(2.0))
-    out = deg, np.abs(m), np.where(m < 0, -1j * s, s)
+    out = deg, np.abs(m), (m < 0).astype(int), np.where(m == 0, 1.0, math.sqrt(2.0))
     for a in out:
         a.flags.writeable = False
     return out
 
 
 def _to_blocks(coeffs: np.ndarray, l_max: int) -> np.ndarray:
-    """Blocks z[k, m] = s_m (a_{k,m} - i a_{k,-m}) of a flat spectrum, so that
-    sum_j a_j Y_j = Re sum_{k,m} z[k, m] Q_k^m e^{i m phi}; a column axis of
-    the flat coefficients ((l_max+1)^2, n) is kept as z[k, m, :]."""
-    deg, order, phase = _layout(l_max)
-    z = np.zeros((l_max + 1, l_max + 1) + np.shape(coeffs)[1:], dtype=complex)
-    np.add.at(z, (deg, order),
-              phase.reshape((-1,) + (1,) * (np.ndim(coeffs) - 1)) * coeffs)
-    return z
+    """Blocks b[m, k] = s_m (a_{k,m}, a_{k,-m}) of a flat spectrum, so that
+    sum_j a_j Y_j = sum_{k,m} Q_k^m (b[m, k, 0] cos m phi + b[m, k, 1] sin m phi);
+    a column axis of the coefficients ((l_max+1)^2, n) is kept as b[m, k, :, n]."""
+    deg, order, part, s = _layout(l_max)
+    b = np.zeros((l_max + 1, l_max + 1, 2) + np.shape(coeffs)[1:])
+    b[order, deg, part] = s.reshape((-1,) + (1,) * (np.ndim(coeffs) - 1)) * coeffs
+    return b
 
 
-def _from_blocks(z: np.ndarray) -> np.ndarray:
-    """Flat coefficients (nb, n) of a batch of (k, |m|, n) blocks: the
-    transpose of ``_to_blocks``, so analysis is the adjoint of synthesis."""
-    deg, order, phase = _layout(z.shape[0] - 1)
-    return (phase.conj()[:, None] * z[deg, order]).real
+def _from_blocks(b: np.ndarray) -> np.ndarray:
+    """Flat coefficients (nb, n) of (|m|, k, 2, n) blocks: the transpose of
+    ``_to_blocks``, so analysis is the adjoint of synthesis."""
+    deg, order, part, s = _layout(b.shape[0] - 1)
+    return s[:, None] * b[order, deg, part]
 
 
 @dataclass(frozen=True)
@@ -380,22 +379,25 @@ def analyze_rows(grid: SphereGrid, values: np.ndarray, l_max: int) -> np.ndarray
     """``analyze`` column by column: node values (n_nodes[, n]) to flat
     coefficients ((l_max+1)^2[, n]), without the bandwidth check."""
     q, cos, sin = _tables(grid, l_max)
-    v = np.asarray(values, dtype=float).reshape(grid.n_polar, grid.n_azimuth, -1)
-    w = (grid.glw * (2.0 * math.pi / grid.n_azimuth))[:, None, None]
-    # ring integrals against e^{-i m phi}, then contracted over rings
-    re = np.einsum("kmi,imc->kmc", q, w * (cos @ v))
-    im = np.einsum("kmi,imc->kmc", q, w * (sin @ v))
-    return _from_blocks(re - 1j * im).reshape((-1,) + np.shape(values)[1:])
+    n, n_polar, n_az = l_max + 1, grid.n_polar, grid.n_azimuth
+    v = np.asarray(values, dtype=float).reshape(n_polar, n_az, -1)
+    c = v.shape[-1]
+    v = v.transpose(1, 0, 2).reshape(n_az, -1)      # (azimuth, ring * column)
+    w = (grid.glw * (2.0 * math.pi / n_az))[:, None]
+    # ring integrals against cos and sin(m phi), then one product over the
+    # rings per order m: (m, k, i) @ (m, i, 2c)
+    rings = np.stack([(t @ v).reshape(n, n_polar, c) for t in (cos, sin)], 2)
+    y = q @ (w * rings.reshape(n, n_polar, 2 * c))
+    return _from_blocks(y.reshape(n, n, 2, c)).reshape((-1,) + np.shape(values)[1:])
 
 
 def synthesize(spectrum: HarmonicSpectrum, grid: SphereGrid,
                parity: str | None = None) -> SphericalFunction:
     """Pointwise evaluation of sum a_{k,m} Y_{k,m} at the grid nodes."""
     q, cos, sin = _tables(grid, spectrum.l_max)
-    z = _to_blocks(spectrum.coeffs, spectrum.l_max)
-    re = np.einsum("kmi,km->im", q, z.real)      # (n_polar, L+1)
-    im = np.einsum("kmi,km->im", q, z.imag)
-    values = (re @ cos - im @ sin).ravel()
+    # one product over the degrees per order m: (m, i, k) @ (m, k, 2)
+    y = q.transpose(0, 2, 1) @ _to_blocks(spectrum.coeffs, spectrum.l_max)
+    values = (y[..., 0].T @ cos + y[..., 1].T @ sin).ravel()
     return SphericalFunction(grid, values, spectrum=spectrum, parity=parity)
 
 
@@ -408,10 +410,10 @@ def degree_values_rows(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     L = math.isqrt(len(coeffs)) - 1
     m_phi = np.outer(np.arange(L + 1), np.arctan2(points[:, 1], points[:, 0]))
     cos, sin = np.cos(m_phi), np.sin(m_phi)
-    z = np.moveaxis(_to_blocks(coeffs, L), 1, -1)   # (k, [n,] |m|)
+    b = np.moveaxis(_to_blocks(coeffs, L), 0, -1)   # (k, 2, [n,] |m|)
     out = np.empty((L + 1,) + np.shape(coeffs)[1:] + (len(points),))
     for k, q in enumerate(_legendre_rows(L, np.clip(points[:, 2], -1.0, 1.0))):
-        out[k] = z.real[k] @ (q * cos) - z.imag[k] @ (q * sin)
+        out[k] = b[k, 0] @ (q * cos) + b[k, 1] @ (q * sin)
     return out
 
 

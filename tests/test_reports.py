@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import radoncomp
-from radoncomp import reports
+from radoncomp import cli, reports
 from radoncomp.cli import main
+from radoncomp.errors import OutOfRange
 from radoncomp.reports import report_schema, write_table
 from test_cli import CONFIG_DIR, SHIPPED, kind_of
 
@@ -157,6 +158,26 @@ def test_invalid_report_raises_validation_error(tmp_path):
     with pytest.raises(jsonschema.ValidationError):
         reports.emit_report(tmp_path, "s", {}, [{"verdict": "v"}], {}, {},
                             {}, 0.0, 0)
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_margin_refused_as_strict_json(tmp_path, bad):
+    """A NaN or infinite number is OutOfRange, and neither file is written."""
+    with pytest.raises(OutOfRange, match="report.json"):
+        reports.emit_report(tmp_path, "s", {}, [], {}, {"domination": bad},
+                            {}, 0.0, 0)
+    assert not (tmp_path / "report.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_non_finite_margin_exits_1(tmp_path, monkeypatch, capsys):
+    name = "certify-pd.ini"
+    monkeypatch.setitem(cli._RUNNERS, kind_of(name), lambda cfg, out, scale: (
+        0, [], {}, {"domination": math.nan}, {}, ""))
+    assert main([kind_of(name), "--config", str(CONFIG_DIR / name),
+                 "--out", str(tmp_path)]) == 1
+    assert "NaN or infinite" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
 
 

@@ -172,7 +172,7 @@ def test_normalized_legendre_matches_scipy():
             # scipy's spherical harmonic at phi=0 gives
             # (-1)^m-free normalized associated Legendre up to the CS phase
             ref = sph_harm_y(k, m, theta, 0.0).real * (-1.0) ** m
-            assert np.max(np.abs(q[k, m] - ref)) < 1e-12, (k, m)
+            assert np.max(np.abs(q[m, k] - ref)) < 1e-12, (k, m)
 
 
 def test_legendre_matches_scipy():
@@ -279,6 +279,36 @@ def test_analyze_rows_matches_analyze(grid16):
     for c in range(5):
         one = analyze(SphericalFunction(grid16, values[:, c]), 10).coeffs
         assert np.max(np.abs(rows[:, c] - one)) < 1e-14
+
+
+@pytest.mark.parametrize("L", [15, 31, 63])
+def test_analyze_rows_matches_direct_quadrature(L):
+    """analyze_rows against the quadrature sums sum_nodes w f Y_j, with Y_j
+    from evaluate_spectrum of single modes: one and three columns, at the
+    grid's bandwidth and below it (a slice of the grid's table)."""
+    grid = build_grid(L + 1, 2 * L + 2)
+    rng = np.random.default_rng(L)
+    values = rng.standard_normal((grid.n_nodes, 3))
+    for l_max in (L, L // 2):
+        nb = (l_max + 1) ** 2
+        modes = sorted({0, l_max * l_max, nb - 1,
+                        *rng.choice(nb, 6, replace=False).tolist()})
+        basis = np.array([evaluate_spectrum(
+            HarmonicSpectrum.mode(math.isqrt(j), j), grid.nodes) for j in modes])
+        direct = (basis * grid.weights) @ values
+        scale = np.max(np.abs(direct))
+        got = analyze_rows(grid, values, l_max)[modes]
+        assert np.max(np.abs(got - direct)) <= 1e-13 * scale, l_max
+        got = analyze_rows(grid, values[:, 0], l_max)[modes]
+        assert np.max(np.abs(got - direct[:, 0])) <= 1e-13 * scale, l_max
+
+
+def test_round_trip_at_bandwidth_127():
+    grid = build_grid(128, 256)
+    coeffs = np.random.default_rng(127).standard_normal(128 ** 2)
+    back = analyze(synthesize(HarmonicSpectrum(127, coeffs), grid))
+    assert back.l_max == 127
+    assert np.max(np.abs(back.coeffs - coeffs)) < 1e-12
 
 
 def test_one_legendre_table_per_grid(grid16):
