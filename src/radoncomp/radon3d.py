@@ -611,39 +611,39 @@ def _degree_plane_integral(profile: RadialProfile, k: int,
     at polar distance gamma from theta is P_k(cos gamma) times its value at
     theta; on the plane <x, theta> = t one has cos gamma = t / |x|.
 
-    Per offset: scipy's simpson over the nodes s >= |t|, plus the trapezoid
-    cell [|t|, first node]; applied as weight rows to blocks of 64 offsets.
+    Per offset, on the nodes s_j0 < ... < s_{n-1} past |t|: composite Simpson
+    aligned to the last node, whose last cell is h/12 (-1, 8, 5) for an even
+    count, the trapezoid for two nodes; plus the partial cell [|t|, s_j0].
     """
     s, n, dr = profile.r, profile.samples.shape[-1], profile.dr
     su = s * np.atleast_2d(profile.samples)
     first = np.searchsorted(s, t_abs)              # first node with s >= |t|
-    # simpson's weights in units of h/3, aligned to the last node, for an odd
-    # node count and an even one (with the last-interval h/12 (-1, 8, 5))
     odd = np.r_[np.where((n - 1 - np.arange(n - 1)) % 2, 4.0, 2.0), 1.0]
-    even = np.r_[odd[1:], 0.0]
-    even[-3:] += np.array([-0.25, 2.0, 1.25])[-n:]
-    out = np.zeros((len(su), len(t_abs)))
-    for lo in range(0, len(t_abs), 64):
+    pattern = np.stack([np.r_[odd[1:], 0.0], odd])  # h/3 units: even, odd count
+    pattern[0, -3:] += np.array([-0.25, 2.0, 1.25])[-n:]
+    out, buf = np.zeros((len(su), len(t_abs))), np.empty(64 * n)
+    for lo in range(0, len(t_abs), 64):    # w * P_k(t/s) of 64 offsets, in place
         ta, j0 = t_abs[lo:lo + 64, None], first[lo:lo + 64, None]
-        c0 = min(int(j0.min()), n - 1)             # leftmost column in use
-        J, ss = np.arange(c0, n), s[c0:]
-        x = np.divide(ta, ss, out=np.ones((len(ta), n - c0)), where=ss > 0)
-        x[J < j0] = 0.0                            # left of the suffix
-        p = legendre(k, x)
-        cnt = n - j0[:, 0]                         # nodes in each suffix
-        w = np.where((cnt % 2 == 1)[:, None], odd[c0:], even[c0:])
-        w = np.where(J > j0, w, J == j0)
-        w[cnt == 2, -2:] = 1.5                     # two nodes: the trapezoid
-        w[cnt < 2] = 0.0
-        # partial cell between |t| and the first node (P_k(1) = 1 at |t|),
-        # s u at |t| interpolated linearly within its node cell
-        ta, j0 = ta[:, 0], np.minimum(j0[:, 0], n - 1)
-        i = np.maximum(j0 - 1, 0)          # |t| in [s_i, s_j0] unless |t| >= R
-        f = (ta - s[i]) / dr
-        cell = su[:, i] * (1.0 - f) + su[:, i + 1] * f \
-            + su[:, j0] * p[np.arange(len(ta)), j0 - c0]
-        out[:, lo:lo + 64] = ((w * p) @ su[:, c0:].T).T * (dr / 3.0) \
-            + 0.5 * cell * np.maximum(s[j0] - ta, 0.0)
+        c0, c1 = min(int(j0.min()), n - 1), int(j0.max())   # columns c0.. in use
+        w, z = buf[:len(ta) * (n - c0)].reshape(len(ta), -1), int(s[c0] == 0.0)
+        np.divide(ta, s[c0 + z:], out=w[:, z:])    # t/s, and 1 at s = 0
+        w[:, :z] = 1.0
+        left = np.arange(c0, c1) < j0              # left of each suffix
+        np.copyto(w[:, :c1 - c0], 0.0, where=left)
+        cnt, jc, r = n - j0[:, 0], np.minimum(j0[:, 0], n - 1), np.arange(len(ta))
+        pj = legendre(k, w[r, jc - c0])            # P_k on the first node
+        for b in (slice(a, a + 32) for a in range(0, len(ta), 32)):
+            p = legendre(k, w[b])                  # 32 rows at a time
+            np.multiply(p, pattern[cnt[b] % 2 | (cnt[b] == 2), c0:], out=w[b])
+        w[r, jc - c0] = pj * (cnt > 1)   # weight 1 on the first node, 0 below two
+        np.multiply(w[:, :c1 - c0], 0.0, out=w[:, :c1 - c0], where=left)
+        w[cnt == 2, -2:] *= 1.5    # two nodes (odd pattern, last weight 1): trapezoid
+        # the partial cell, with P_k(1) = 1 at |t| and s u there linear in j0's cell
+        i = np.maximum(jc - 1, 0)          # |t| in [s_i, s_j0] unless |t| >= R
+        f = (ta[:, 0] - s[i]) / dr
+        cell = su[:, i] * (1.0 - f) + su[:, i + 1] * f + su[:, jc] * pj
+        out[:, lo:lo + 64] = (w @ su[:, c0:].T).T * (dr / 3.0) \
+            + 0.5 * cell * np.maximum(s[jc] - ta[:, 0], 0.0)
     return TWO_PI * out
 
 

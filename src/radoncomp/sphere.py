@@ -107,22 +107,22 @@ class SphereGrid:
 # alone, so that importing radoncomp loads no scipy module.
 
 def legendre(n, x):
-    """P_n(x) by the three-term recurrence, in the precision of x (float64 at
-    least).  The degree n >= 0 is an integer or an integer array that
-    broadcasts against x, so an array of degrees gives one row per degree
-    from one pass of the recurrence.  The coefficients are integers, so no
-    rounded coefficient biases every point the same way; P_n(+-1) = (+-1)^n
-    exactly."""
+    """P_n(x) from (P_0, P_1) = (1, x) by k P_k = (2k - 1) x P_{k-1} - (k - 1)
+    P_{k-2} with rows in place, in x's precision (float64 at least; integer
+    coefficients: P_n(+-1) = (+-1)^n); n: an int >= 0, or ints broadcast to x."""
     x = np.asarray(x, dtype=np.result_type(x, 1.0))
     n = np.asarray(n)
     wanted = set(n.ravel().tolist())   # not np.unique: it loads numpy.ma
-    out = np.ones(np.broadcast_shapes(n.shape, x.shape), dtype=x.dtype)
-    older, p = np.zeros_like(x), np.ones_like(x)   # the k = 1 step zeroes older
-    for k in range(1, max(wanted, default=0) + 1):
-        older, p = p, ((2 * k - 1) * (x * p) - (k - 1) * older) / k
-        if k in wanted:
+    out = np.where(n == 1, x, 1.0) if n.ndim else None   # one degree ends in p
+    older, p, tmp = np.ones((), x.dtype), x.copy(), np.empty_like(x)   # 0-d P_0
+    for k in range(2, max(wanted, default=0) + 1):
+        np.multiply(np.multiply(x, p, out=tmp), 2 * k - 1, out=tmp)
+        np.subtract(tmp, np.multiply(older, k - 1, out=older), out=tmp)
+        older, p, tmp = p, np.divide(tmp, k, out=tmp), \
+            older if older.shape == x.shape else np.empty_like(x)
+        if k in wanted and n.ndim:
             np.copyto(out, p, where=n == k)
-    return out[()]
+    return (out if n.ndim else p if n else np.ones_like(x))[()]
 
 
 # The error function elementwise, float64: math.erf on each value.

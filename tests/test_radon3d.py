@@ -11,6 +11,7 @@ Closed-form oracles used throughout:
 """
 
 import math
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -313,6 +314,82 @@ def test_degree_plane_integral_matches_per_offset_simpson(k):
     got = _degree_plane_integral(prof, k, t_abs)
     want = _simpson_plane_integral(prof, k, t_abs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _frozen_block_kernel(profile, k, t_abs):
+    """The P_k(t/s) plane integral as it was built before its weight rows
+    were made in place: fresh arrays for every step of every 64-offset block,
+    and the Legendre recurrence run from k = 1 with P_{-1} = 0.  Frozen as an
+    oracle: the kernel must keep these bits."""
+    s, n, dr = profile.r, profile.samples.shape[-1], profile.dr
+    su = s * np.atleast_2d(profile.samples)
+    first = np.searchsorted(s, t_abs)
+    odd = np.r_[np.where((n - 1 - np.arange(n - 1)) % 2, 4.0, 2.0), 1.0]
+    even = np.r_[odd[1:], 0.0]
+    even[-3:] += np.array([-0.25, 2.0, 1.25])[-n:]
+    out = np.zeros((len(su), len(t_abs)))
+    for lo in range(0, len(t_abs), 64):
+        ta, j0 = t_abs[lo:lo + 64, None], first[lo:lo + 64, None]
+        c0 = min(int(j0.min()), n - 1)
+        J, ss = np.arange(c0, n), s[c0:]
+        x = np.divide(ta, ss, out=np.ones((len(ta), n - c0)), where=ss > 0)
+        x[J < j0] = 0.0
+        older, p = np.zeros_like(x), np.ones_like(x)
+        for j in range(1, k + 1):
+            older, p = p, ((2 * j - 1) * (x * p) - (j - 1) * older) / j
+        cnt = n - j0[:, 0]
+        w = np.where((cnt % 2 == 1)[:, None], odd[c0:], even[c0:])
+        w = np.where(J > j0, w, J == j0)
+        w[cnt == 2, -2:] = 1.5
+        w[cnt < 2] = 0.0
+        ta, j0 = ta[:, 0], np.minimum(j0[:, 0], n - 1)
+        i = np.maximum(j0 - 1, 0)
+        f = (ta - s[i]) / dr
+        cell = su[:, i] * (1.0 - f) + su[:, i + 1] * f \
+            + su[:, j0] * p[np.arange(len(ta)), j0 - c0]
+        out[:, lo:lo + 64] = ((w * p) @ su[:, c0:].T).T * (dr / 3.0) \
+            + 0.5 * cell * np.maximum(s[j0] - ta, 0.0)
+    return 2.0 * math.pi * out
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 30])
+def test_degree_plane_integral_keeps_the_frozen_bits(k):
+    """Bit for bit against the frozen kernel: the full |t| grid of
+    radon_transform and the edge offsets (t = 0, nodes, suffixes of one and
+    two nodes, |t| >= R), one and three profile rows, odd and even n."""
+    t_abs = np.unique(np.abs(symmetric_nodes()))
+    assert len(t_abs) == 1025
+    for n in (2048, 2047):
+        r = np.linspace(0.0, 16.0, n)
+        rows = np.array([r * r * np.exp(-1.2 * r * r), np.exp(-r * r),
+                         (1.0 + r) * np.exp(-0.5 * r * r)])
+        dr = 16.0 / (n - 1)
+        edge = np.concatenate([
+            [0.0], np.arange(1, 300, 7) * dr, (np.arange(1, 300, 11) + 0.37) * dr,
+            16.0 - np.array([3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5]) * dr,
+            [16.0, 16.5]])
+        for samples in (rows[0], rows):
+            prof = radial_profile(samples=samples, n=n)
+            for t in (t_abs, edge):
+                got = _degree_plane_integral(prof, k, t)
+                want = _frozen_block_kernel(prof, k, t)
+                assert np.array_equal(got, want), (n, samples.ndim, len(t))
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_degree_plane_integral_memory_bound():
+    """One 2048 x 1025 call holds at most 4 MB at once (the fresh arrays of
+    every block step peaked at 8.1 MB)."""
+    prof = radial_profile(lambda r: r * r * np.exp(-1.2 * r * r))
+    t_abs = np.unique(np.abs(symmetric_nodes()))
+    _degree_plane_integral(prof, 2, t_abs)
+    tracemalloc.start()
+    try:
+        _degree_plane_integral(prof, 2, t_abs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4_000_000, peak
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -196,6 +196,48 @@ def test_legendre_matches_scipy():
             assert np.ndim(value) == 0 and value == rows[deg, j]
 
 
+def _frozen_legendre(n, x):
+    """sphere.legendre as it was before its rows were updated in place: a
+    fresh array per step, run from k = 1 with P_{-1} = 0.  Frozen as an
+    oracle for its bits, on which gauss_legendre and exprlang rest."""
+    x = np.asarray(x, dtype=np.result_type(x, 1.0))
+    n = np.asarray(n)
+    wanted = set(n.ravel().tolist())
+    out = np.ones(np.broadcast_shapes(n.shape, x.shape), dtype=x.dtype)
+    older, p = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, max(wanted, default=0) + 1):
+        older, p = p, ((2 * k - 1) * (x * p) - (k - 1) * older) / k
+        if k in wanted:
+            np.copyto(out, p, where=n == k)
+    return out[()]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+def test_legendre_keeps_the_frozen_bits(dtype):
+    """Bit for bit (NaN and the sign of zero included) against the frozen
+    recurrence: scalar and array degrees, scalar and array x, at +-1, +-0,
+    |x| > 1 (overflowing for n = 1000), NaN and points inside."""
+    x = np.array([-1.0, 1.0, 0.0, -0.0, 1.5, -3.0, 40.0, np.nan, 0.3, -0.7],
+                 dtype=dtype)
+    degrees = [0, 1, 2, 3, 64, 1000]
+
+    def same(got, want):
+        assert type(got) is type(want) and np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype == dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    with np.errstate(all="ignore"):
+        for n in degrees:
+            same(legendre(n, x), _frozen_legendre(n, x))
+            for v in x:
+                same(legendre(n, v), _frozen_legendre(n, v))
+        for n in (np.array(degrees)[:, None], np.array(degrees[::-1])):
+            xs = x if n.ndim == 2 else x[:len(degrees)]
+            same(legendre(n, xs), _frozen_legendre(n, xs))
+            same(legendre(n, x[3]), _frozen_legendre(n, x[3]))
+
+
 def test_basis_orthonormality(grid16):
     """Quadrature Gram matrix of the basis is the identity up to bandwidth."""
     l_max = 8
