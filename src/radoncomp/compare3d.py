@@ -271,10 +271,10 @@ def _bump_profiles(lattice: list[tuple[float, float]], grid,
     bumps = []
     for t0, sigma in lattice:
         a, b = r - t0, r + t0
-        u = np.r_[
+        u = np.append(
             2.0 * (1.0 - 2.0 * (t0 / sigma) ** 2) * math.exp(-(t0 / sigma) ** 2),
             (a * np.exp(-(a / sigma) ** 2) + b * np.exp(-(b / sigma) ** 2)) / r
-        ] / (math.pi * sigma ** 2)
+        ) / (math.pi * sigma ** 2)
         bumps.append(SeparableFunction([RowBlock(
             RadialProfile(u[None, :], r_max, "schwartz"), angular, parts, grid)]))
     return bumps
@@ -289,12 +289,14 @@ def _combine(psi: SeparableFunction, h: SeparableFunction,
     return SeparableFunction(psi.blocks + h.scaled(coeff).blocks)
 
 
-def _integral_against(w_fn: SeparableFunction, h: SeparableFunction) -> float:
-    both = SeparableFunction(w_fn.blocks + h.blocks)
+def _integral_against(w_fn: SeparableFunction, hs: list) -> list[float]:
+    """int w h for each h of hs; the classes and w at the radii once."""
+    both = SeparableFunction(w_fn.blocks + [b for h in hs for b in h.blocks])
     first, index = both.node_classes()
     rg, wg = radial_gauss_legendre(both.r_max, 300)
-    vals = w_fn.values_polar(rg, first) * h.values_polar(rg, first)
-    return float(((wg * rg * rg) @ vals)[index] @ both.grid.weights)
+    w_vals, wr = w_fn.values_polar(rg, first), wg * rg * rg
+    return [float((wr @ (w_vals * h.values_polar(rg, first)))[index]
+                  @ both.grid.weights) for h in hs]
 
 
 def _negative_window(omega: np.ndarray,
@@ -357,13 +359,10 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
     # lattice search for the most negative int w h
     lattice = [(t0, sigma) for t0 in (t_star, 0.85 * t_star, 1.15 * t_star)
                for sigma in (half / 2.0, half / 3.0, half)]
-    best = None
-    for (t0, sigma), h in zip(lattice, _bump_profiles(lattice, grid,
-                                                      psi.r_max)):
-        ip = _integral_against(w_fn, h)
-        if best is None or ip < best[0]:
-            best = (ip, h, t0, sigma)
-    ip, h, t0, sigma = best
+    bumps = _bump_profiles(lattice, grid, psi.r_max)
+    pairings = _integral_against(w_fn, bumps)
+    i = pairings.index(min(pairings))       # the first of equal minima
+    ip, h, (t0, sigma) = pairings[i], bumps[i], lattice[i]
     if ip >= 0.0:
         raise ConstructionFailed(
             f"no bump in the search lattice achieves int psi^{{p-1}} h < 0 "

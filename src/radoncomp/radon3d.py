@@ -130,25 +130,28 @@ class _Cubic:
         return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
 
-def _thomas(lower: list, diag: list, upper: list, b: np.ndarray) -> np.ndarray:
-    """Tridiagonal solve along b's last axis, no pivoting: LAPACK gtsv's
-    operations when it swaps no rows.  One right-hand side sweeps as Python
-    floats, several as one NumPy row per step."""
-    rows, d = b.reshape(-1, b.shape[-1]), list(diag)
-    r = rows[0].tolist() if len(rows) == 1 else list(rows.T.copy())
-    for i in range(1, len(d)):
-        f = lower[i] / d[i - 1]
-        d[i] -= f * upper[i - 1]
-        r[i] = r[i] - f * r[i - 1]
-    r[-1] = r[-1] / d[-1]
-    for i in range(len(d) - 2, -1, -1):
-        r[i] = (r[i] - upper[i] * r[i + 1]) / d[i]
-    return np.array(r).T.reshape(b.shape)
+@lru_cache(maxsize=4)
+def _elimination(x: bytes) -> np.ndarray:
+    """Multipliers, pivots and upper diagonal of cubic_spline's slope system
+    on the float64 nodes given by their bytes, eliminated as LAPACK gtsv does
+    without row swaps: built once per grid, shared read-only."""
+    x = np.frombuffer(x)
+    dx = np.diff(x)
+    h, f = dx.tolist(), [0.0] * len(x)
+    d = [h[1], *(2 * (dx[:-1] + dx[1:])).tolist(), h[-2]]
+    upper = [float(x[2] - x[0]), *h[:-1], 0.0]
+    for i, lower in enumerate([*h[1:], float(x[-1] - x[-3])], 1):
+        f[i] = lower / d[i - 1]
+        d[i] -= f[i] * upper[i - 1]
+    out = np.array([f, d, upper])
+    out.flags.writeable = False
+    return out
 
 
 def cubic_spline(x: np.ndarray, y: np.ndarray) -> _Cubic:
     """SciPy's not-a-knot CubicSpline(x, y, axis=-1) for n >= 4 nodes: its
-    slope system, which gtsv solves without row swaps on uniform nodes."""
+    slope system, which gtsv solves without row swaps on uniform nodes; one
+    right-hand side sweeps as Python floats, several as NumPy rows."""
     dx = np.diff(x)
     slope = np.diff(y, axis=-1) / dx
     d0, d1 = x[2] - x[0], x[-1] - x[-3]
@@ -158,10 +161,16 @@ def cubic_spline(x: np.ndarray, y: np.ndarray) -> _Cubic:
                  + dx[0] ** 2 * slope[..., 1]) / d0
     b[..., -1] = (dx[-1] ** 2 * slope[..., -2]
                   + (2 * d1 + dx[-1]) * dx[-2] * slope[..., -1]) / d1
-    h = dx.tolist()
-    return _Cubic(x, y, _thomas([0.0, *h[1:], float(d1)],
-                                [h[1], *(2 * (dx[:-1] + dx[1:])).tolist(), h[-2]],
-                                [float(d0), *h[:-1], 0.0], b))
+    f, d, upper = _elimination(np.asarray(x, dtype=float).tobytes()).tolist()
+    rows = b.reshape(-1, b.shape[-1])
+    r = rows[0].tolist() if len(rows) == 1 else list(rows.T.copy())
+    acc = r[0]
+    for i, fi in zip(range(1, len(r)), f[1:]):
+        r[i] = acc = r[i] - fi * acc
+    r[-1] = acc = acc / d[-1]
+    for i, ui, di in zip(range(len(r) - 2, -1, -1), upper[-2::-1], d[-2::-1]):
+        r[i] = acc = (r[i] - ui * acc) / di
+    return _Cubic(x, y, np.array(r).T.reshape(b.shape))
 
 
 def _cumulative_simpson(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -242,7 +251,7 @@ class RadialProfile:
 
     @property
     def r(self) -> np.ndarray:
-        return np.linspace(0.0, self.r_max, self.samples.shape[-1])
+        return _radii(self.r_max, self.samples.shape[-1])
 
     @property
     def dr(self) -> float:
@@ -267,6 +276,13 @@ class RadialProfile:
         ev = self.evaluator
         return RadialProfile(self.samples * c, self.r_max, self.decay,
                              (lambda r: c * ev(r)) if ev else None)
+
+
+@lru_cache(maxsize=4)
+def _radii(r_max: float, n: int) -> np.ndarray:
+    r = np.linspace(0.0, r_max, n)
+    r.flags.writeable = False
+    return r
 
 
 def radial_profile(fn: Callable | None = None, samples=None,
@@ -295,7 +311,7 @@ def _column_classes(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # np.lexsort, not np.unique: np.unique loads numpy.ma
     order = np.lexsort(cols[::-1]) if len(cols) else np.arange(cols.shape[1])
     ordered = cols[:, order]
-    new = np.r_[True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)]
+    new = np.append(True, np.any(ordered[:, 1:] != ordered[:, :-1], axis=0))
     index = np.empty(len(order), dtype=int)
     index[order] = np.cumsum(new) - 1
     return order[new], index
@@ -360,6 +376,7 @@ class SeparableFunction:
             raise InputInvalid(
                 f"terms are sampled to different radii (r_max {r_maxes[0]:g} "
                 f"and {r_maxes[-1]:g}); a function has one r_max")
+        self._classes = None
 
     @property
     def grid(self) -> SphereGrid:
@@ -400,8 +417,14 @@ class SeparableFunction:
     def node_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(first, index): the first node of each class of grid nodes whose
         angular values agree exactly in every row of every block, and each
-        node's class.  values_polar(r, first)[:, index] is values_polar(r)."""
-        return _column_classes(np.concatenate([b.values for b in self.blocks]))
+        node's class.  values_polar(r, first)[:, index] is values_polar(r).
+        Worked out once per function; both arrays are read-only."""
+        if self._classes is None:
+            self._classes = _column_classes(
+                np.concatenate([b.values for b in self.blocks]))
+            for a in self._classes:
+                a.flags.writeable = False
+        return self._classes
 
     def scaled(self, c: float) -> "SeparableFunction":
         fr = self.fourier_radial
@@ -618,8 +641,8 @@ def _degree_plane_integral(profile: RadialProfile, k: int,
     s, n, dr = profile.r, profile.samples.shape[-1], profile.dr
     su = s * np.atleast_2d(profile.samples)
     first = np.searchsorted(s, t_abs)              # first node with s >= |t|
-    odd = np.r_[np.where((n - 1 - np.arange(n - 1)) % 2, 4.0, 2.0), 1.0]
-    pattern = np.stack([np.r_[odd[1:], 0.0], odd])  # h/3 units: even, odd count
+    odd = np.append(np.where((n - 1 - np.arange(n - 1)) % 2, 4.0, 2.0), 1.0)
+    pattern = np.stack([np.append(odd[1:], 0.0), odd])  # h/3 units: even, odd count
     pattern[0, -3:] += np.array([-0.25, 2.0, 1.25])[-n:]
     out, buf = np.zeros((len(su), len(t_abs))), np.empty(64 * n)
     for lo in range(0, len(t_abs), 64):    # w * P_k(t/s) of 64 offsets, in place
@@ -656,13 +679,16 @@ def _by_degree(f: SeparableFunction, directions: np.ndarray, n_out: int,
     index (D,)), where rows[index] is the (D, n_out) table."""
     terms = []
     for b in f.blocks:
-        ang = degree_values_rows(b.coeffs, directions)
-        deg = HarmonicSpectrum.mode(len(ang) - 1, 0).degrees()
+        deg = HarmonicSpectrum.mode(math.isqrt(len(b.coeffs)) - 1, 0).degrees()
         # a sorted set, not np.unique: np.unique loads numpy.ma
-        for k in sorted(set(deg[b.coeffs.any(axis=1)].tolist())):
-            if k % 2 == 0 or not even_only:
-                rows = np.flatnonzero(b.coeffs[deg == k].any(axis=0))
-                terms.append((b, k, rows, ang[k, rows]))
+        live = [k for k in sorted(set(deg[b.coeffs.any(axis=1)].tolist()))
+                if k % 2 == 0 or not even_only]
+        # degree k's row needs no coefficient of a higher degree
+        ang = degree_values_rows(b.coeffs[:(max(live, default=0) + 1) ** 2],
+                                 directions)
+        for k in live:
+            rows = np.flatnonzero(b.coeffs[deg == k].any(axis=0))
+            terms.append((b, k, rows, ang[k, rows]))
     first, index = _column_classes(np.concatenate(
         [np.empty((0, len(directions)))] + [a for *_, a in terms]))
     out = np.zeros((len(first), n_out))
@@ -702,7 +728,7 @@ def radon_transform(phi: SeparableFunction, t: np.ndarray | None = None,
     # each distinct |t| once: sort, dedupe, and map back by searchsorted
     t_abs = np.abs(np.asarray(t, dtype=float))
     uniq = np.sort(t_abs)
-    uniq = uniq[np.r_[True, uniq[1:] != uniq[:-1]]]
+    uniq = uniq[np.append(True, uniq[1:] != uniq[:-1])]
     inv = np.searchsorted(uniq, t_abs)
     return Sinogram(np.asarray(t, float), np.asarray(directions, float),
                     *_by_degree(phi, directions, len(t), lambda k, prof: (
@@ -837,7 +863,7 @@ def _fourier_rows(f: SeparableFunction, directions: np.ndarray,
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     """Weights w with w @ y = np.trapezoid(y, x) in exact arithmetic."""
     d = np.diff(x)
-    return 0.5 * (np.r_[0.0, d] + np.r_[d, 0.0])
+    return 0.5 * (np.append(0.0, d) + np.append(d, 0.0))
 
 
 def _degree_radial_fourier(profile: RadialProfile, k: int,

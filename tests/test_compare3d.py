@@ -301,7 +301,7 @@ def test_pairing_matches_the_direct_integral(grid16, name):
     phi = _class_input(name, grid16)
     weights = 2.0 * grid16.weights[hemisphere_indices(grid16)]
     got = _pair_with_measures(radon_transform(phi), cert, weights)
-    want = _integral_against(w, phi)
+    [want] = _integral_against(w, [phi])
     assert abs(got - want) <= 1e-9 * abs(want)
 
 

@@ -1,5 +1,6 @@
 """The repository tools: the benchmark recorder's checkout gate and its
-record of failed runs, the paired recorder's alternating order, and the
+record of failed runs, the paired recorder's alternating order, the pair
+comparison's exclusion of failed runs, the in-process round timer, and the
 config comparison's exit status."""
 
 import json
@@ -141,3 +142,51 @@ def test_bench_pairs_refuses_before_any_run(tmp_path):
     assert "change" in proc.stderr and "BENCHMARK.json" in proc.stderr
     assert not (tmp_path / "order.log").exists()
     assert not (ROOT / f"BENCH_{label}-parent.json").exists()
+
+
+def _one_run_bench(path, correct):
+    metrics = {name: {"value": 1.0} for name in
+               ("verdicts_per_s", "verdict_p50_s", "setup_s", "peak_rss_mb")}
+    run = {"workload": "rn-mix", "seed": 1, "exit_code": 0,
+           "lines": ["fail_ratio      0 1  (0 of 9 well-posed wrong)"],
+           "result": {"correct": correct, "metrics": metrics}}
+    if not correct:
+        run["stderr_tail"] = "radonbench: FAILED verify.p2: lp_phi"
+    path.write_text(json.dumps({"runs": [run]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("correct", [True, False])
+def test_bench_compare_leaves_out_a_run_that_reads_correct_false(tmp_path,
+                                                                 correct):
+    # bench_record.py keeps such a run with exit code 0; it must not pair
+    parent = _one_run_bench(tmp_path / "parent.json", True)
+    change = _one_run_bench(tmp_path / "change.json", correct)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_compare.py"), parent,
+         change], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    at = lines.index(f"rn-mix: {1 if correct else 0} pairs "
+                     f"(seeds {1 if correct else ''})")
+    assert lines[at + 1].split() == ["failed", "runs", "parent", "0",
+                                     "change", "0" if correct else "1"]
+    assert any("verdicts_per_s" in line for line in lines[at:]) is correct
+
+
+def test_ab_rounds_runs_two_rounds_of_one_checkout_against_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), str(ROOT),
+         str(ROOT), "rn-mix", "2", "3"], capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    head, means, ratio = proc.stdout.splitlines()
+    assert head.startswith("rn-mix seed 3, 2 rounds")
+    a, b = (float(means.split()[i]) for i in (1, 6))
+    assert a > 0.0 and b > 0.0
+    won = ratio.split("won")
+    assert int(won[1].split()[0]) + int(won[2].split()[0]) <= 2
+    assert subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "ab_rounds.py"), str(ROOT),
+         str(ROOT), "cli-scenarios", "2", "3"], capture_output=True,
+        timeout=60).returncode == 2

@@ -3,7 +3,9 @@
     python3 tools/bench_compare.py <parent BENCH json> <change BENCH json>
 
 Runs are paired by (workload, seed); a seed recorded on one side only is
-left out, and a run that exited non-zero counts as missing.  For each
+left out, and a failed run counts as missing: one that exited non-zero, or
+one whose result reads ``"correct": false`` (a verdict whose check failed,
+which ``bench_record.py`` records with exit code 0).  For each
 workload and each end-to-end metric of this repository's ``BENCHMARK.json``
 it prints the parent's and the change's median with quartiles (inclusive
 method), the pairs the change won (ties count for neither side), and:
@@ -14,7 +16,8 @@ method), the pairs the change won (ties count for neither side), and:
 * ``bound``: whether the change's median is no worse than the parent's by
   more than the metric's ``bound`` (relative) in ``BENCHMARK.json``.
 
-``fail_ratio`` is printed per side as its range over the runs.
+``fail_ratio`` is printed per side as its range over the runs, and the
+count of failed runs per side for each workload.
 Standard library only.
 """
 
@@ -28,11 +31,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _runs(path: str) -> dict:
-    """(workload, seed) -> the run's record, for runs that exited 0."""
+def _failed(record: dict) -> bool:
+    return record["exit_code"] != 0 \
+        or record.get("result", {}).get("correct") is not True
+
+
+def _runs(path: str) -> tuple[dict, list]:
+    """((workload, seed) -> the record of a run that did not fail, the
+    records of the runs that failed)."""
     runs = json.loads(Path(path).read_text())["runs"]
-    return {(r["workload"], r["seed"]): r for r in runs
-            if r["exit_code"] == 0}
+    return ({(r["workload"], r["seed"]): r for r in runs if not _failed(r)},
+            [r for r in runs if _failed(r)])
 
 
 def _fail_ratio(record: dict) -> float:
@@ -49,13 +58,18 @@ def _spread(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def compare(parent: dict, change: dict, spec: dict) -> list[str]:
+def compare(parent_runs: tuple, change_runs: tuple, spec: dict) -> list[str]:
+    """The printout for the ``_runs`` of each side."""
+    (parent, parent_failed), (change, change_failed) = parent_runs, change_runs
     out = []
     for workload in [w["name"] for w in spec["workloads"]]:
         keys = sorted(k for k in parent.keys() & change.keys()
                       if k[0] == workload)
         out.append(f"{workload}: {len(keys)} pairs "
                    f"(seeds {', '.join(str(k[1]) for k in keys)})")
+        failed = [sum(r["workload"] == workload for r in side)
+                  for side in (parent_failed, change_failed)]
+        out.append(f"  failed runs     parent {failed[0]}  change {failed[1]}")
         if not keys:
             continue
         for metric in spec["end_to_end"]:
