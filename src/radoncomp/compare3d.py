@@ -41,14 +41,15 @@ from .funk import ComparisonReport
 from .radon3d import (
     DEFAULT_T_MAX,
     IntersectionCertificate,
-    RadialProfile,
     RowBlock,
     SeparableFunction,
     Sinogram,
     _column_classes,
+    _with_origin,
     certify_intersection_function,
     cubic_spline,
     hemisphere_indices,
+    radial_profile,
     radon_transform,
     separable_power,
 )
@@ -262,21 +263,21 @@ def _bump_profiles(lattice: list[tuple[float, float]], grid,
     (psi's, in the counterexample: psi - eta h has one r_max).
 
     beta(t) = e^{-(t - t0)^2/sigma^2} + e^{-(t + t0)^2/sigma^2}, so
-    h(r) = -beta'(r) / (2 pi r) is closed form: each h is one block with one
-    radial row and the constant angular row.
+    h(r) = -beta'(r) / (2 pi r) is closed form: each h is one block with the
+    constant angular row and one radial row, evaluated from that closed form.
     """
-    r = np.linspace(0.0, r_max, n_r)[1:]
     parts = np.array([[math.sqrt(4.0 * math.pi)]])   # (mode, row): Y_00 only
     angular = degree_values_rows(parts, grid.nodes)[0]
     bumps = []
     for t0, sigma in lattice:
-        a, b = r - t0, r + t0
-        u = np.append(
-            2.0 * (1.0 - 2.0 * (t0 / sigma) ** 2) * math.exp(-(t0 / sigma) ** 2),
-            (a * np.exp(-(a / sigma) ** 2) + b * np.exp(-(b / sigma) ** 2)) / r
-        ) / (math.pi * sigma ** 2)
-        bumps.append(SeparableFunction([RowBlock(
-            RadialProfile(u[None, :], r_max, "schwartz"), angular, parts, grid)]))
+        def h(r, t0=t0, sigma=sigma):
+            a, b = r - t0, r + t0
+            return (a * np.exp(-(a / sigma) ** 2)
+                    + b * np.exp(-(b / sigma) ** 2)) / r / (math.pi * sigma ** 2)
+        h0 = 2.0 * (1.0 - 2.0 * (t0 / sigma) ** 2) * math.exp(-(t0 / sigma) ** 2)
+        u = radial_profile(_with_origin(h, h0 / (math.pi * sigma ** 2)),
+                           r_max=r_max, n=n_r)
+        bumps.append(SeparableFunction([RowBlock(u, angular, parts, grid)]))
     return bumps
 
 

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (
+    BandwidthExceeded,
     CertificateRequired,
     DecayTooSlow,
     GridTooCoarse,
@@ -41,7 +42,6 @@ from .sphere import (
     build_grid,
     degree_values_rows,
     erf,
-    legendre,
     orthonormal_frame,
     radial_gauss_legendre,
 )
@@ -252,10 +252,6 @@ class RadialProfile:
     @property
     def r(self) -> np.ndarray:
         return _radii(self.r_max, self.samples.shape[-1])
-
-    @property
-    def dr(self) -> float:
-        return self.r_max / (self.samples.shape[-1] - 1)
 
     def __call__(self, r) -> np.ndarray:
         """u at radii r: r.shape for one row, (q,) + r.shape for q rows."""
@@ -634,40 +630,42 @@ def _degree_plane_integral(profile: RadialProfile, k: int,
     at polar distance gamma from theta is P_k(cos gamma) times its value at
     theta; on the plane <x, theta> = t one has cos gamma = t / |x|.
 
-    Per offset, on the nodes s_j0 < ... < s_{n-1} past |t|: composite Simpson
-    aligned to the last node, whose last cell is h/12 (-1, 8, 5) for an even
-    count, the trapezoid for two nodes; plus the partial cell [|t|, s_j0].
+    Product integration: P_k(x) = sum_j c_j x^j makes it sum_j c_j |t|^j
+    M_j(|t|), M_j(tau) = int_tau^R u(s) s^(1-j) ds.  The cells past s_1 and
+    the partial cells [|t|, next node] are cut into pieces of ratio at most
+    1.1, where s^(1-j) is smooth, of 8 Gauss points each against the samples'
+    interpolant (as RadialProfile evaluates them), summed from the outer end.
+    sum_j |c_j| grows like 2.4^k: above k = 16 the sum runs in extended
+    precision; past 30 it loses a digit every three degrees, so is refused.
     """
-    s, n, dr = profile.r, profile.samples.shape[-1], profile.dr
-    su = s * np.atleast_2d(profile.samples)
-    first = np.searchsorted(s, t_abs)              # first node with s >= |t|
-    odd = np.append(np.where((n - 1 - np.arange(n - 1)) % 2, 4.0, 2.0), 1.0)
-    pattern = np.stack([np.append(odd[1:], 0.0), odd])  # h/3 units: even, odd count
-    pattern[0, -3:] += np.array([-0.25, 2.0, 1.25])[-n:]
-    out, buf = np.zeros((len(su), len(t_abs))), np.empty(64 * n)
-    for lo in range(0, len(t_abs), 64):    # w * P_k(t/s) of 64 offsets, in place
-        ta, j0 = t_abs[lo:lo + 64, None], first[lo:lo + 64, None]
-        c0, c1 = min(int(j0.min()), n - 1), int(j0.max())   # columns c0.. in use
-        w, z = buf[:len(ta) * (n - c0)].reshape(len(ta), -1), int(s[c0] == 0.0)
-        np.divide(ta, s[c0 + z:], out=w[:, z:])    # t/s, and 1 at s = 0
-        w[:, :z] = 1.0
-        left = np.arange(c0, c1) < j0              # left of each suffix
-        np.copyto(w[:, :c1 - c0], 0.0, where=left)
-        cnt, jc, r = n - j0[:, 0], np.minimum(j0[:, 0], n - 1), np.arange(len(ta))
-        pj = legendre(k, w[r, jc - c0])            # P_k on the first node
-        for b in (slice(a, a + 32) for a in range(0, len(ta), 32)):
-            p = legendre(k, w[b])                  # 32 rows at a time
-            np.multiply(p, pattern[cnt[b] % 2 | (cnt[b] == 2), c0:], out=w[b])
-        w[r, jc - c0] = pj * (cnt > 1)   # weight 1 on the first node, 0 below two
-        np.multiply(w[:, :c1 - c0], 0.0, out=w[:, :c1 - c0], where=left)
-        w[cnt == 2, -2:] *= 1.5    # two nodes (odd pattern, last weight 1): trapezoid
-        # the partial cell, with P_k(1) = 1 at |t| and s u there linear in j0's cell
-        i = np.maximum(jc - 1, 0)          # |t| in [s_i, s_j0] unless |t| >= R
-        f = (ta[:, 0] - s[i]) / dr
-        cell = su[:, i] * (1.0 - f) + su[:, i + 1] * f + su[:, jc] * pj
-        out[:, lo:lo + 64] = (w @ su[:, c0:].T).T * (dr / 3.0) \
-            + 0.5 * cell * np.maximum(s[jc] - ta[:, 0], 0.0)
-    return TWO_PI * out
+    if k > 30:
+        raise BandwidthExceeded(f"harmonic degree {k} is above 30, the highest "
+                                "whose plane integral keeps its digits")
+    s, n = profile.r, profile.samples.shape[-1]
+    dt = float if k <= 16 else np.longdouble
+    u = RadialProfile(np.atleast_2d(profile.samples), profile.r_max)
+    g, w = radial_gauss_legendre(1.0, 8)
+    jc = np.minimum(np.searchsorted(s, t_abs, "right"), n - 1)
+    ta = np.minimum(t_abs, s[-1])
+    # the cells [s_i, s_i+1], i >= 1, and [R, R], then the partial cells
+    lo, hi = np.append(s[1:], ta), np.concatenate([s[2:], s[-1:], s[jc]])
+    q = lo / hi
+    m = np.ceil(np.log(np.where(q > 0, q, 1.0)) / -math.log(1.1)).clip(1).astype(int)
+    first, piece = np.cumsum(m) - m, np.repeat(np.arange(len(m)), m)
+    f, qp = (np.arange(len(piece)) - first[piece]) / m[piece], q[piece]
+    a, b = hi[piece] * qp ** (1 - f), hi[piece] * qp ** (1 - f - 1 / m[piece])
+    x = a[:, None] + (b - a)[:, None] * g
+    ratio = np.append(np.ones(n - 1), ta)[piece, None] / x     # 1/s, or |t|/s
+    vals = (u(x) * x * ratio ** (k % 2) * ((b - a)[:, None] * w)).astype(dt)
+    step = ratio.astype(dt) ** 2
+    out = np.zeros((len(vals), len(t_abs)), dt)
+    for i, j in zip(range(k // 2, -1, -1), range(k % 2, k + 1, 2)):
+        c = (-1) ** i * dt(math.comb(k, i)) * dt(math.comb(k + j, k)) / 2 ** k
+        mom = np.add.reduceat(vals.sum(axis=-1), first, axis=-1)
+        tail = np.cumsum(mom[:, n - 2::-1], axis=1)[:, ::-1]    # M_j at s_1..
+        out += c * (t_abs.astype(dt) ** j * tail[:, jc - 1] + mom[:, n - 1:])
+        vals *= step
+    return (TWO_PI * out).astype(float)
 
 
 def _by_degree(f: SeparableFunction, directions: np.ndarray, n_out: int,

@@ -556,6 +556,24 @@ def test_singular_degree2_origin_is_input_error(tmp_path):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("degree, code", [(30, 0), (32, 1)])
+def test_degree_30_runs_and_degree_32_is_input_error(tmp_path, capsys, degree,
+                                                    code):
+    # a live degree-32 term: its plane integral would not keep its digits,
+    # so the sinogram is refused with exit 1 and no report; degree 30 runs
+    cfg = tmp_path / "deg.ini"
+    cfg.write_text(
+        "[scenario]\nkind = rn-compare\np = 1\n"
+        "[grid]\nn_polar = 34\nn_azimuth = 68\n"
+        "[functions]\nphi_radial = exp(-r^2)\n"
+        f"phi_angular = 2 + legendre({degree}, z)\npsi_radial = 4*exp(-r^2)\n"
+        "[output]\ndir = out\n")
+    assert main(["rn-compare", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == code
+    assert ("degree 32 " in capsys.readouterr().err) == (code == 1)
+    assert (tmp_path / "out" / "report.json").exists() == (code == 0)
+
+
 def test_domination_failure_exit_code(tmp_path):
     # phi strictly above psi: domination cannot hold; exit 3 with a report
     cfg = tmp_path / "dom.ini"

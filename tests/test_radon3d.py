@@ -10,6 +10,7 @@ Closed-form oracles used throughout:
     transform pi^{3/2} * 2 sqrt(pi) (2 - 4 omega^2) e^{-omega^2}
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ import pytest
 
 from radoncomp import radon3d
 from radoncomp.errors import (
+    BandwidthExceeded,
     CertificateRequired,
     DecayTooSlow,
     GridTooCoarse,
@@ -278,50 +280,79 @@ def test_radon_nonradial_vs_direct(grid16):
                                 rel_tol=1e-6, abs_tol=1e-9), (theta, t)
 
 
-def _simpson_plane_integral(profile, k, t_abs):
-    """Per offset: scipy's simpson over the nodes s >= |t| of
-    u(s) s P_k(t/s), plus the trapezoid cell [|t|, first node]."""
-    from scipy.integrate import simpson
-
-    s = profile.r
-    su = s * profile.samples
-    out = np.zeros(len(t_abs))
-    for i, ta in enumerate(t_abs):
-        ss = s[s >= ta]
-        if ta >= s[-1]:
-            continue
-        vals = su[s >= ta] * eval_legendre(
-            k, np.divide(ta, ss, out=np.ones_like(ss), where=ss > 0))
-        if len(ss) > 2:
-            out[i] = simpson(vals, x=ss)
-        elif len(ss) == 2:
-            out[i] = 0.5 * (vals[0] + vals[1]) * (ss[1] - ss[0])
-        if ss[0] > ta:
-            out[i] += 0.5 * (np.interp(ta, s, su) + vals[0]) * (ss[0] - ta)
-    return 2.0 * math.pi * out
-
-
-@pytest.mark.parametrize("k", [2, 4, 8, 12, 30, 60])
-def test_degree_plane_integral_matches_per_offset_simpson(k):
-    prof = radial_profile(lambda r: r * r * np.exp(-r * r))
-    dr = prof.dr
-    # |t| = 0, nodes, points between nodes, the last cells (odd and even
-    # suffix lengths down to one node), and |t| >= R
-    t_abs = np.concatenate([
+def _edge_offsets(dr):
+    """|t| = 0, nodes, points between nodes, the last cells (suffixes down to
+    one node), and |t| >= R, on a profile of spacing dr and R = 16."""
+    return np.concatenate([
         [0.0], np.arange(1, 300, 7) * dr, (np.arange(1, 300, 11) + 0.37) * dr,
         16.0 - np.array([3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5]) * dr,
         [16.0, 16.5]])
-    got = _degree_plane_integral(prof, k, t_abs)
-    want = _simpson_plane_integral(prof, k, t_abs)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def _frozen_block_kernel(profile, k, t_abs):
-    """The P_k(t/s) plane integral as it was built before its weight rows
-    were made in place: fresh arrays for every step of every 64-offset block,
-    and the Legendre recurrence run from k = 1 with P_{-1} = 0.  Frozen as an
-    oracle: the kernel must keep these bits."""
-    s, n, dr = profile.r, profile.samples.shape[-1], profile.dr
+@functools.lru_cache(maxsize=None)
+def _closed_plane_integral(k, shifted, t_abs):
+    """2 pi int_|t|^inf u(s) P_k(t/s) s ds for u = e^{-s^2} (shifted False)
+    or s^k e^{-s^2} (True), even k, at 80 digits: with P_k(x) = sum_j c_j x^j
+    it is pi sum_j c_j |t|^j Gamma(a_j, t^2), a_j = 1 - j/2 or 1 + (k - j)/2.
+    Gamma(a, x) comes from e^{-x} (a = 1) upward, and from E_1(x) (a = 0)
+    downward, which loses 2-3 of the 80 digits a step.  t_abs is a tuple."""
+    import mpmath
+
+    out = []
+    with mpmath.workdps(80):
+        for t in t_abs:
+            t = mpmath.mpf(t)
+            x, total = t * t, mpmath.mpf(0)
+            gam = {1: mpmath.exp(-x)}
+            if shifted:
+                for a in range(1, k // 2 + 1):
+                    gam[a + 1] = a * gam[a] + x ** a * gam[1]
+            elif t > 0:
+                gam[0] = mpmath.e1(x)
+                for a in range(-1, -k // 2, -1):
+                    gam[a] = (gam[a + 1] - x ** a * gam[1]) / a
+            for j in range(0, k + 1, 2) if t > 0 or shifted else [0]:
+                i = (k - j) // 2
+                a = 1 + i if shifted else 1 - j // 2
+                c = mpmath.mpf((-1) ** i * math.comb(k, i) * math.comb(k + j, k))
+                total += c / 2 ** k * t ** j * gam[a]
+            out.append(float(mpmath.pi * total))
+    return np.array(out)
+
+
+def _plane_integral_error(kernel, k, shifted, t_abs):
+    """Largest error of kernel against the closed form, relative to the
+    peak, for u = e^{-s^2} or s^k e^{-s^2} on 2048 nodes of [0, 16]."""
+    u = (lambda r: r ** k * np.exp(-r * r)) if shifted \
+        else (lambda r: np.exp(-r * r))
+    want = _closed_plane_integral(k, shifted, tuple(t_abs.tolist()))
+    got = kernel(radial_profile(u), k, t_abs)
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 12, 16, 24, 30])
+def test_degree_plane_integral_matches_closed_forms(k):
+    """Against 80-digit closed forms for u = e^{-s^2}, whose u(0) = 1 makes
+    P_k(t/s) turn over near s = |t|, and u = s^k e^{-s^2}: the 1,025 |t| of
+    radon_transform's default grid and the edge offsets.  For s^k e^{-s^2}
+    the spline through its 2048 samples is itself off by 1.0e-10 to 1.4e-10
+    of the peak at k = 4 to 16 (the exact u gives 2e-15 at k = 4), hence
+    2e-10 there."""
+    for t_abs in (np.unique(np.abs(symmetric_nodes())), _edge_offsets(16 / 2047)):
+        for shifted in (False, True):
+            bound = (2e-10 if shifted else 1e-10) if k <= 24 else 1e-8
+            err = _plane_integral_error(_degree_plane_integral, k, shifted, t_abs)
+            assert err <= bound, (len(t_abs), shifted, err)
+
+
+def _frozen_simpson_kernel(profile, k, t_abs):
+    """The P_k(t/s) plane integral before product integration, frozen as the
+    baseline it replaced: per offset, composite Simpson on the nodes past |t|
+    aligned to the last node (h/12 (-1, 8, 5) on the last cell of an even
+    count, the trapezoid on two nodes), plus the trapezoid on the partial
+    cell [|t|, first node]; 64 offsets a block."""
+    s, n = profile.r, profile.samples.shape[-1]
+    dr = profile.r_max / (n - 1)
     su = s * np.atleast_2d(profile.samples)
     first = np.searchsorted(s, t_abs)
     odd = np.r_[np.where((n - 1 - np.arange(n - 1)) % 2, 4.0, 2.0), 1.0]
@@ -352,29 +383,13 @@ def _frozen_block_kernel(profile, k, t_abs):
     return 2.0 * math.pi * out
 
 
-@pytest.mark.parametrize("k", [2, 4, 8, 30])
-def test_degree_plane_integral_keeps_the_frozen_bits(k):
-    """Bit for bit against the frozen kernel: the full |t| grid of
-    radon_transform and the edge offsets (t = 0, nodes, suffixes of one and
-    two nodes, |t| >= R), one and three profile rows, odd and even n."""
+@pytest.mark.parametrize("k", [2, 4, 8, 16, 24, 30])
+def test_degree_plane_integral_no_worse_than_the_frozen_simpson_kernel(k):
     t_abs = np.unique(np.abs(symmetric_nodes()))
-    assert len(t_abs) == 1025
-    for n in (2048, 2047):
-        r = np.linspace(0.0, 16.0, n)
-        rows = np.array([r * r * np.exp(-1.2 * r * r), np.exp(-r * r),
-                         (1.0 + r) * np.exp(-0.5 * r * r)])
-        dr = 16.0 / (n - 1)
-        edge = np.concatenate([
-            [0.0], np.arange(1, 300, 7) * dr, (np.arange(1, 300, 11) + 0.37) * dr,
-            16.0 - np.array([3.5, 3.0, 2.5, 2.0, 1.5, 1.0, 0.5]) * dr,
-            [16.0, 16.5]])
-        for samples in (rows[0], rows):
-            prof = radial_profile(samples=samples, n=n)
-            for t in (t_abs, edge):
-                got = _degree_plane_integral(prof, k, t)
-                want = _frozen_block_kernel(prof, k, t)
-                assert np.array_equal(got, want), (n, samples.ndim, len(t))
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+    for shifted in (False, True):
+        new = _plane_integral_error(_degree_plane_integral, k, shifted, t_abs)
+        old = _plane_integral_error(_frozen_simpson_kernel, k, shifted, t_abs)
+        assert new <= old, (shifted, new, old)
 
 
 def test_degree_plane_integral_memory_bound():
@@ -394,11 +409,41 @@ def test_degree_plane_integral_memory_bound():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_degree_plane_integral_short_profiles(n):
-    prof = radial_profile(lambda r: np.exp(-r * r), r_max=2.0, n=n)
+    """Within 1e-12 of SciPy's quad of the samples' own interpolant (linear
+    below four nodes, the not-a-knot spline from four), three profile rows
+    at once, |t| = 0, inside cells, on nodes and past R."""
+    from scipy.integrate import quad
+
+    r = np.linspace(0.0, 2.0, n)
+    prof = radial_profile(samples=np.stack(
+        [np.exp(-r * r), r * r * np.exp(-r * r), 1.0 + r]), r_max=2.0, n=n)
     t_abs = np.array([0.0, 0.3, 0.5, 1.0, 1.7, 2.0, 3.0])
-    want = _simpson_plane_integral(prof, 2, t_abs)
-    assert np.max(np.abs(_degree_plane_integral(prof, 2, t_abs) - want)) \
-        <= 1e-13 * np.max(np.abs(want))
+    for k in (2, 8):
+        got = _degree_plane_integral(prof, k, t_abs)
+        for row, samples in zip(got, prof.samples):
+            u = RadialProfile(samples, 2.0)
+            want = np.array([2.0 * math.pi * quad(
+                lambda s: float(u(s)) * s * eval_legendre(k, ta / s),
+                ta, 2.0, points=r[(r > ta) & (r < 2.0)] if n > 2 else None,
+                epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+                if ta < 2.0 else 0.0 for ta in t_abs])
+            assert np.max(np.abs(row - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_degree_plane_integral_refuses_degrees_above_30(grid16):
+    """A live degree above 30 is refused by radon_transform, naming it;
+    degree 30 still gives a sinogram."""
+    r = np.linspace(0.0, 16.0, 2048)
+    u = np.exp(-r * r)[None, :]
+    for k in (30, 32):
+        f = radon3d._modal_function(grid16, k, r, "schwartz",
+                                    np.array([k * k + k]), u)
+        if k == 30:
+            sino = radon_transform(f)
+            assert np.all(np.isfinite(sino.rows)) and np.any(sino.rows != 0)
+        else:
+            with pytest.raises(BandwidthExceeded, match="degree 32 "):
+                radon_transform(f)
 
 
 def test_radon_rejects_algebraic_decay(grid16):
