@@ -48,6 +48,7 @@ from .reports import (
     write_transform_csv,
 )
 from .sphere import SphericalFunction, build_grid
+from .tolerances import DEFAULTS
 
 __all__ = ["main", "run_scenario"]
 
@@ -108,12 +109,11 @@ def _comparison_result(code, rep, a, b, margins, residuals):
             rep.notes)
 
 
-def _run_spherical_compare(cfg, out, scale):
+def _run_spherical_compare(cfg, out, tol):
     grid = _grid(cfg)
     f = _angular_fn(cfg, "f", grid)
     g = _angular_fn(cfg, "g", grid)
-    rep = verify_comparison_spherical(f, g, cfg.p,
-                                      rel_tol=cfg.tol("rel_tol", 1e-9, scale))
+    rep = verify_comparison_spherical(f, g, cfg.p, rel_tol=tol["rel_tol"])
     write_sphere_csv(out / "f.csv", f)
     write_sphere_csv(out / "g.csv", g)
     write_sphere_csv(out / "radon_f.csv", rep.transforms[0])
@@ -124,12 +124,11 @@ def _run_spherical_compare(cfg, out, scale):
                               dict(rep.chain))
 
 
-def _run_spherical_counterexample(cfg, out, scale):
+def _run_spherical_counterexample(cfg, out, tol):
     grid = _grid(cfg)
     g = _angular_fn(cfg, "g", grid)
     f, rep = construct_counterexample_spherical(
-        g, cfg.p, rel_tol=cfg.tol("rel_tol", 1e-9, scale),
-        gap_tol=cfg.tol("gap_tol", 1e-8, scale))
+        g, cfg.p, rel_tol=tol["rel_tol"], gap_tol=tol["gap_tol"])
     write_sphere_csv(out / "constructed.csv", f)
     write_sphere_csv(out / "base.csv", g)
     return _comparison_result(EXIT_OK, rep, "f", "g",
@@ -138,10 +137,11 @@ def _run_spherical_counterexample(cfg, out, scale):
                               {})
 
 
-def _run_slicing(cfg, out, scale):
+def _run_slicing(cfg, out, tol):
     grid = _grid(cfg)
     f = _angular_fn(cfg, "f", grid)
-    rep = slicing_check(f, cfg.p, lower_branch=cfg.lower_branch)
+    rep = slicing_check(f, cfg.p, lower_branch=cfg.lower_branch,
+                        rel_tol=tol["rel_tol"])
     write_sphere_csv(out / "f.csv", f)
     code = EXIT_OK if (rep.hypothesis_holds and rep.holds) else EXIT_HYPOTHESIS
     return (code, [rep.certificate.to_json_dict()],
@@ -151,15 +151,16 @@ def _run_slicing(cfg, out, scale):
                 f"{[float(v) for v in rep.extremal_direction]}")
 
 
-def _run_rn_compare(cfg, out, scale):
+def _run_rn_compare(cfg, out, tol):
     from .compare3d import verify_comparison_radon
 
     grid = _grid(cfg)
     phi = _separable_fn(cfg, "phi", grid)
     psi = _separable_fn(cfg, "psi", grid)
     rep = verify_comparison_radon(phi, psi, cfg.p,
-                                  rel_tol=cfg.tol("rel_tol", 1e-9, scale),
-                                  chain_tol=cfg.tol("chain_tol", 1e-6, scale))
+                                  rel_tol=tol["rel_tol"],
+                                  chain_tol=tol["chain_tol"],
+                                  tail_tol=tol["tail_tol"])
     rep.transforms[0].to_csv(str(out / "sinogram_phi.csv"))
     rep.transforms[1].to_csv(str(out / "sinogram_psi.csv"))
     code = EXIT_OK if rep.conclusion_holds else EXIT_HYPOTHESIS
@@ -168,24 +169,24 @@ def _run_rn_compare(cfg, out, scale):
                               dict(rep.chain))
 
 
-def _run_rn_counterexample(cfg, out, scale):
+def _run_rn_counterexample(cfg, out, tol):
     from .compare3d import construct_counterexample_radon
 
     grid = _grid(cfg)
     psi = _separable_fn(cfg, "psi", grid)
     phi, rep = construct_counterexample_radon(
-        psi, cfg.p, rel_tol=cfg.tol("rel_tol", 1e-9, scale),
-        gap_tol=cfg.tol("gap_tol", 1e-8, scale))
+        psi, cfg.p, rel_tol=tol["rel_tol"], gap_tol=tol["gap_tol"],
+        tail_tol=tol["tail_tol"])
     rep.transforms[0].to_csv(str(out / "sinogram_phi.csv"))
     rep.transforms[1].to_csv(str(out / "sinogram_psi.csv"))
     return _comparison_result(EXIT_OK, rep, "phi", "psi",
                               {"norm_gap": rep.chain["norm_gap"]}, {})
 
 
-def _run_certify_pd(cfg, out, scale):
+def _run_certify_pd(cfg, out, tol):
     grid = _grid(cfg)
     f = _angular_fn(cfg, "f", grid)
-    cert = certify_pd_r1(f, cfg.q, rel_tol=cfg.tol("rel_tol", 1e-9, scale))
+    cert = certify_pd_r1(f, cfg.q, rel_tol=tol["rel_tol"])
     write_sphere_csv(out / "f.csv", f)
     write_sphere_csv(out / "transform.csv", cert.transform_data)
     code = EXIT_OK if cert.is_positive_definite else EXIT_HYPOTHESIS
@@ -199,7 +200,7 @@ def _run_certify_pd(cfg, out, scale):
             f"verdict {cert.verdict}")
 
 
-def _run_certify_intersection(cfg, out, scale):
+def _run_certify_intersection(cfg, out, tol):
     from .radon3d import catalog_entry, certify_intersection_function
 
     grid = _grid(cfg)
@@ -208,10 +209,8 @@ def _run_certify_intersection(cfg, out, scale):
     else:
         f = _separable_fn(cfg, "f", grid)
     cert = certify_intersection_function(
-        f, r_max=cfg.r_max, n=cfg.n_t,
-        rel_tol=cfg.tol("rel_tol", 1e-9, scale),
-        tail_tol=cfg.tol("tail_tol", 1e-6, scale),
-        tail_correction=cfg.tail_correction)
+        f, r_max=cfg.r_max, n=cfg.n_t, rel_tol=tol["rel_tol"],
+        tail_tol=tol["tail_tol"], tail_correction=cfg.tail_correction)
     d = int(np.argmin(cert.minima))                 # the lowest row
     write_transform_csv(out / "transform_worst_direction.csv", cert.omega,
                         cert.rows[cert.index[d]])
@@ -222,7 +221,7 @@ def _run_certify_intersection(cfg, out, scale):
             {}, f"verdict {cert.verdict}")
 
 
-def _run_intersection_body(cfg, out, scale):
+def _run_intersection_body(cfg, out, tol):
     grid = _grid(cfg)
     rho = _angular_fn(cfg, "rho", grid)
     body = StarBody(rho, name="L")
@@ -238,19 +237,19 @@ def _run_intersection_body(cfg, out, scale):
             il.name)
 
 
-def _run_catalog_verify(cfg, out, scale):
-    from .radon3d import catalog_entry, fourier_1d, ray_profile_samples, symmetric_nodes
+def _run_catalog_verify(cfg, out, tol):
+    from .radon3d import (RELATION_CONSTANT, catalog_entry, fourier_1d,
+                          ray_profile_samples, symmetric_nodes)
 
     grid = _grid(cfg)
     entry = catalog_entry(cfg.catalog, grid, r_max=cfg.r_max, n=cfg.n_t)
-    c8 = 8.0 * math.pi ** 2
     residuals = {}
     direction = np.array([[0.0, 0.0, 1.0]])
     r_nodes, m = ray_profile_samples(entry.f, direction, cfg.r_max, cfg.n_t)
     dt = 2.0 * cfg.r_max / cfg.n_t
     omega, mhat = fourier_1d(m[0], dt)
     if entry.h_eval is not None:
-        m_ref = c8 * entry.h_eval(r_nodes)
+        m_ref = RELATION_CONSTANT * entry.h_eval(r_nodes)
         residuals["ray_profile"] = float(
             np.max(np.abs(m[0] - m_ref)) / np.max(np.abs(m_ref)))
     if entry.mhat_eval is not None:
@@ -264,15 +263,15 @@ def _run_catalog_verify(cfg, out, scale):
         nz = om_g != 0.0           # the closed form r^2 f^(r) has a 0 * inf
         lhs = om_g[nz] ** 2 * entry.f.fourier_radial(np.abs(om_g[nz]))
         residuals["relation"] = float(
-            np.max(np.abs(lhs - c8 * ghat[nz]))
+            np.max(np.abs(lhs - RELATION_CONSTANT * ghat[nz]))
             / max(float(np.max(np.abs(lhs))), 1e-300))
     write_transform_csv(out / "ray_profile.csv", r_nodes, m[0], label="m")
     write_transform_csv(out / "ray_profile_transform.csv", omega, mhat)
-    tol = cfg.tol("catalog_tol", 1e-5, scale)
+    limit = tol["catalog_tol"]
     worst = max(residuals.values(), default=0.0)
-    code = EXIT_OK if worst <= tol else EXIT_HYPOTHESIS
+    code = EXIT_OK if worst <= limit else EXIT_HYPOTHESIS
     return (code, [], {},
-            {"tolerance_margin": tol - worst},
+            {"tolerance_margin": limit - worst},
             residuals, f"catalog entry {entry.name}: {entry.notes}")
 
 
@@ -297,10 +296,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: str | None = None,
                            f"{tol_scale}")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    tol = {k: cfg.tolerances.get(k, v) * tol_scale for k, v in DEFAULTS.items()}
     started = time.perf_counter()
     try:
         code, certs, norms, margins, residuals, notes = \
-            _RUNNERS[cfg.kind](cfg, out, tol_scale)
+            _RUNNERS[cfg.kind](cfg, out, tol)
     except (DominationFails, NotApplicable, ConstructionFailed) as exc:
         code, prefix = _REFUSALS[type(exc)]
         certs, norms, margins, residuals = [], {}, {}, {}
@@ -357,7 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True, help="INI scenario config")
         sp.add_argument("--out", default=None, help="output directory")
         sp.add_argument("--tol-scale", type=float, default=1.0,
-                        help="multiply every tolerance by this factor")
+                        help="multiply each of the five [tolerances] values "
+                             "by this factor, the certificates inside compare, "
+                             "counterexample and slicing included")
         sp.add_argument("--threads", type=int, default=None,
                         help="BLAS/OpenMP thread cap, applied through "
                              "threadpoolctl; without threadpoolctl installed "

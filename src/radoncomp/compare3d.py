@@ -59,6 +59,7 @@ from .sphere import (
     radial_gauss_legendre,
     require_exponent,
 )
+from .tolerances import DEFAULTS
 
 __all__ = [
     "lp_norm_rn", "sinogram_dominates", "verify_comparison_radon",
@@ -146,8 +147,9 @@ def _pair_with_measures(sino: Sinogram, cert: IntersectionCertificate,
 
 
 def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
-                            p: float, rel_tol: float = 1e-9,
-                            chain_tol: float = 1e-6) -> ComparisonReport:
+                            p: float, rel_tol: float = DEFAULTS["rel_tol"],
+                            chain_tol: float = DEFAULTS["chain_tol"],
+                            tail_tol: float = DEFAULTS["tail_tol"]) -> ComparisonReport:
     """Decide |phi|_p <= |psi|_p from sinogram domination.
 
     p = 1: domination integrates directly to the norm comparison (no
@@ -160,7 +162,7 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
     for name, fn in (("phi", phi), ("psi", psi)):
         fn.require_finite(name)
         m = fn.min_on_sample_grid()
-        if m < -1e-9 * max(abs(m), 1.0):
+        if m < -rel_tol * max(abs(m), 1.0):
             raise InputInvalid(f"{name} must be non-negative (min {m:.3e})")
     r_phi, r_psi = _sinogram_pair(phi, psi)
     scale = max(float(np.max(np.abs(r_psi.rows))), 1e-300)
@@ -199,7 +201,7 @@ def verify_comparison_radon(phi: SeparableFunction, psi: SeparableFunction,
     base = phi if p > 1.0 else psi
     try:
         w_fn = separable_power(base, p - 1.0)
-        cert = certify_intersection_function(w_fn)
+        cert = certify_intersection_function(w_fn, rel_tol=rel_tol, tail_tol=tail_tol)
     except (InputInvalid, GridTooCoarse) as exc:
         return report(
             certificate=None, conclusion_holds=False, hypothesis_holds=False,
@@ -320,8 +322,9 @@ def _negative_window(omega: np.ndarray,
 
 
 def construct_counterexample_radon(psi: SeparableFunction, p: float,
-                                   rel_tol: float = 1e-9,
-                                   gap_tol: float = 1e-8
+                                   rel_tol: float = DEFAULTS["rel_tol"],
+                                   gap_tol: float = DEFAULTS["gap_tol"],
+                                   tail_tol: float = DEFAULTS["tail_tol"]
                                    ) -> tuple[SeparableFunction,
                                               ComparisonReport]:
     """phi = psi - eta h with R phi <= R psi yet |phi|_p > |psi|_p (p > 1).
@@ -341,7 +344,7 @@ def construct_counterexample_radon(psi: SeparableFunction, p: float,
     # power leaves the admissible class (the symmetric case-b construction
     # needs data outside this tool's function class)
     w_fn = separable_power(psi, p - 1.0)
-    cert = certify_intersection_function(w_fn)
+    cert = certify_intersection_function(w_fn, rel_tol=rel_tol, tail_tol=tail_tol)
     if cert.is_intersection_function:
         raise NotApplicable(
             f"psi^{{p-1}} is certified as an intersection function at "

@@ -7,7 +7,7 @@ Sections:
     [grid]       n_polar, n_azimuth, n_t (at least 7), r_max (above 0)
     [functions]  expression-valued entries (parsed and checked at load time)
     [tolerances] rel_tol, gap_tol, chain_tol, tail_tol, catalog_tol: optional
-                 overrides above 0, scaled by --tol-scale at run time
+                 overrides of tolerances.DEFAULTS above 0, scaled by --tol-scale
     [output]     dir
 
 Any other section or key is refused, since nothing would read it, and so is
@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .errors import InputInvalid
 from .exprlang import ExprAst, check_angular_even, parse_expr
+from .tolerances import DEFAULTS
 
 __all__ = ["ScenarioConfig", "load_config", "SCENARIO_KINDS"]
 
@@ -77,9 +78,6 @@ class ScenarioConfig:
     output_dir: str = "out"
     raw: dict = field(default_factory=dict)           # echo for the manifest
 
-    def tol(self, name: str, default: float, scale: float = 1.0) -> float:
-        return float(self.tolerances.get(name, default)) * scale
-
 
 def _check_expr(name: str, src: str, context: str) -> ExprAst:
     try:
@@ -95,12 +93,11 @@ def _check_expr(name: str, src: str, context: str) -> ExprAst:
 _TYPED_KEYS = {"scenario": ("p", "q", "lower_branch", "tail_correction"),
                "grid": ("n_polar", "n_azimuth", "n_t", "r_max")}
 # every key a section may hold; [functions] names its own entries, the
-# tolerances are the names the scenario runners pass to ScenarioConfig.tol,
-# and [scenario] seed labels a run: only the manifest's echo holds it
+# tolerances are the policy's (tolerances.DEFAULTS), and [scenario] seed
+# labels a run: only the manifest's echo holds it
 _KEYS = {"scenario": ("kind", "catalog", "seed", *_TYPED_KEYS["scenario"]),
          "grid": _TYPED_KEYS["grid"], "functions": None,
-         "tolerances": ("rel_tol", "gap_tol", "chain_tol", "tail_tol",
-                        "catalog_tol"),
+         "tolerances": tuple(DEFAULTS),
          "output": ("dir",)}
 
 

@@ -18,7 +18,7 @@ from .errors import (
     NotPositive,
 )
 from .multipliers import (
-    REL_TOL,
+    TWO_PI_CUBED,
     PDCertificate,
     certify_pd_r1,
     fourier_homogeneous,
@@ -35,6 +35,7 @@ from .sphere import (
     require_exponent,
     synthesize,
 )
+from .tolerances import DEFAULTS
 
 __all__ = [
     "StarBody",
@@ -50,7 +51,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
-TWO_PI_CUBED = (2.0 * math.pi) ** 3
 
 
 @dataclass
@@ -152,7 +152,7 @@ def _newton_polish_extremum(spec: HarmonicSpectrum, node: np.ndarray,
 
 
 def verify_comparison_spherical(f: SphericalFunction, g: SphericalFunction,
-                                p: float, rel_tol: float = REL_TOL) -> ComparisonReport:
+                                p: float, rel_tol: float = DEFAULTS["rel_tol"]) -> ComparisonReport:
     """Affirmative-case verifier for the spherical comparison problem.
 
     Checks Rf <= Rg on the direction grid, certifies the positive-definiteness
@@ -176,6 +176,7 @@ def verify_comparison_spherical(f: SphericalFunction, g: SphericalFunction,
     w = f.grid.weights
     lp_f = lp_norm_sphere(f, p)
     lp_g = lp_norm_sphere(g, p)
+    norms_ordered = lp_f <= lp_g + rel_tol * max(lp_g, 1.0)
     chain: dict = {}
 
     if p == 1.0:
@@ -184,14 +185,12 @@ def verify_comparison_spherical(f: SphericalFunction, g: SphericalFunction,
         int_g = g.integral()
         chain["fubini_residual_f"] = abs(rf.integral() - TWO_PI * int_f) / max(abs(int_f), 1.0)
         chain["fubini_residual_g"] = abs(rg.integral() - TWO_PI * int_g) / max(abs(int_g), 1.0)
-        conclusion = lp_f <= lp_g + tol
-        return ComparisonReport(p, margin, None, lp_f, lp_g, conclusion, True, chain,
+        return ComparisonReport(p, margin, None, lp_f, lp_g, norms_ordered, True, chain,
                                 "p = 1 integral-comparison branch", (rf, rg))
 
     hyp_side = f if p > 1.0 else g
-    cert = certify_pd_r1(hyp_side, p - 1.0)
+    cert = certify_pd_r1(hyp_side, p - 1.0, rel_tol=rel_tol)
     hypothesis = cert.is_positive_definite
-    conclusion = False
     if hypothesis:
         if p > 1.0:
             pairing_lhs = float(w @ f.values ** p)
@@ -205,9 +204,8 @@ def verify_comparison_spherical(f: SphericalFunction, g: SphericalFunction,
             chain["parseval_pairing_margin"] = pairing_rhs - pairing_lhs
             rev_bound = (w @ f.values ** p) ** (1.0 / p) * (w @ g.values ** p) ** ((p - 1.0) / p)
             chain["reverse_holder_margin"] = pairing_lhs - float(rev_bound)
-        conclusion = lp_f <= lp_g + rel_tol * max(lp_g, 1.0)
-    return ComparisonReport(p, margin, cert, lp_f, lp_g, conclusion, hypothesis, chain,
-                            transforms=(rf, rg))
+    return ComparisonReport(p, margin, cert, lp_f, lp_g, hypothesis and norms_ordered,
+                            hypothesis, chain, transforms=(rf, rg))
 
 
 def _nonneg_bandlimited_bump(h: SphericalFunction, delta: float,
@@ -228,8 +226,8 @@ def _nonneg_bandlimited_bump(h: SphericalFunction, delta: float,
 
 
 def construct_counterexample_spherical(base: SphericalFunction, p: float,
-                                       rel_tol: float = REL_TOL,
-                                       gap_tol: float = 1e-8
+                                       rel_tol: float = DEFAULTS["rel_tol"],
+                                       gap_tol: float = DEFAULTS["gap_tol"]
                                        ) -> tuple[SphericalFunction, ComparisonReport]:
     """Counterexample constructor for the spherical comparison problem.
 
@@ -252,7 +250,7 @@ def construct_counterexample_spherical(base: SphericalFunction, p: float,
     if base.min() <= 0.0:
         raise NotPositive("base function must be strictly positive")
     grid = base.grid
-    cert = certify_pd_r1(base, p - 1.0)
+    cert = certify_pd_r1(base, p - 1.0, rel_tol=rel_tol)
     if cert.verdict != "not-positive-definite":
         raise NotApplicable(
             f"certificate on the hypothesis side is {cert.verdict}; "
@@ -321,18 +319,15 @@ class SlicingReport:
     extremal_value: float
     certificate: PDCertificate      # of f^{p-1} r^{-1}
     lower_branch: bool
+    holds: bool             # margin >= -rel_tol * max(|rhs|, 1)
 
     @property
     def hypothesis_holds(self) -> bool:
         return self.certificate.is_positive_definite
 
-    @property
-    def holds(self) -> bool:
-        return self.margin >= -REL_TOL * max(abs(self.rhs), 1.0)
 
-
-def slicing_check(f: SphericalFunction, p: float,
-                  lower_branch: bool = False) -> SlicingReport:
+def slicing_check(f: SphericalFunction, p: float, lower_branch: bool = False,
+                  rel_tol: float = DEFAULTS["rel_tol"]) -> SlicingReport:
     """Slicing inequality on the sphere.
 
     For p > 1 with f^{p-1} r^{-1} positive definite:
@@ -345,17 +340,18 @@ def slicing_check(f: SphericalFunction, p: float,
     f.require_finite("f")
     if f.min() <= 0.0:
         raise NotPositive("f must be strictly positive")
-    cert = certify_pd_r1(f, p - 1.0)
+    cert = certify_pd_r1(f, p - 1.0, rel_tol=rel_tol)
     rspec = sradon_spectral(_spectrum_of(f))
     rf = synthesize(rspec, f.grid, parity="even")
     i_best = first_minimum(rf.values if lower_branch else -rf.values,
-                           REL_TOL * rf.max_abs())
+                           rel_tol * rf.max_abs())
     node, val = _newton_polish_extremum(rspec, f.grid.nodes[i_best],
                                         maximize=not lower_branch)
     lhs = lp_norm_sphere(f, p)
     rhs = FOUR_PI ** (1.0 / p) / TWO_PI * val
     margin = (rhs - lhs) if not lower_branch else (lhs - rhs)
-    return SlicingReport(p, lhs, rhs, margin, node, val, cert, lower_branch)
+    return SlicingReport(p, lhs, rhs, margin, node, val, cert, lower_branch,
+                         margin >= -rel_tol * max(abs(rhs), 1.0))
 
 
 def intersection_body_of(body: StarBody) -> StarBody:

@@ -31,6 +31,7 @@ from .sphere import (
     legendre,
     synthesize,
 )
+from .tolerances import DEFAULTS
 
 __all__ = [
     "multiplier",
@@ -43,9 +44,6 @@ __all__ = [
 ]
 
 TWO_PI_CUBED = (2.0 * math.pi) ** 3
-# Default relative tolerance of a verdict: values within REL_TOL of the
-# largest one count as zero, and extremal values that close as tied.
-REL_TOL = 1e-9
 
 
 def multiplier(n: int, k: int, p: float) -> float:
@@ -138,7 +136,7 @@ def fourier_homogeneous(spectrum: HarmonicSpectrum, p: float) -> HarmonicSpectru
 
 
 def certify_pd_r1(f: SphericalFunction, q: float,
-                  rel_tol: float = REL_TOL) -> PDCertificate:
+                  rel_tol: float = DEFAULTS["rel_tol"]) -> PDCertificate:
     """Decide positive definiteness of the distribution f^q * r^{-1} on R^3.
 
     Pipeline: pointwise power, harmonic analysis (degree cap doubled, bounded

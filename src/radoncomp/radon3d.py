@@ -45,6 +45,7 @@ from .sphere import (
     orthonormal_frame,
     radial_gauss_legendre,
 )
+from .tolerances import DEFAULTS
 
 __all__ = [
     "RadialProfile", "SeparableFunction", "RowBlock", "Sinogram",
@@ -1021,8 +1022,8 @@ def _ray_profile_rows(f: SeparableFunction, directions: np.ndarray,
 def certify_intersection_function(f: SeparableFunction,
                                   r_max: float = DEFAULT_T_MAX,
                                   n: int = DEFAULT_N,
-                                  rel_tol: float = 1e-9,
-                                  tail_tol: float = 1e-6,
+                                  rel_tol: float = DEFAULTS["rel_tol"],
+                                  tail_tol: float = DEFAULTS["tail_tol"],
                                   tail_correction: bool = False) -> IntersectionCertificate:
     """Bochner test for every direction at once: m_theta is positive
     definite iff its 1D transform is non-negative (within -rel_tol * max of

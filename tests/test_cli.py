@@ -455,6 +455,30 @@ def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, scale):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["spherical-compare.ini",
+                                  "spherical-counterexample.ini",
+                                  "slicing.ini", "rn-counterexample.ini"])
+def test_tolerances_reach_the_inner_certificate(tmp_path, name):
+    # the hypothesis certificate inside compare, counterexample and slicing
+    # takes the run's rel_tol: --tol-scale 1000 and [tolerances]
+    # rel_tol = 1e-6 each scale its tolerance by 1000
+    override = tmp_path / name
+    override.write_text((CONFIG_DIR / name).read_text()
+                        + "\n[tolerances]\nrel_tol = 1e-6\n")
+
+    def tolerance(out, config, *extra):
+        assert main([kind_of(name), "--config", str(config),
+                     "--out", str(tmp_path / out), *extra]) == 0
+        report = json.loads((tmp_path / out / "report.json").read_text())
+        return report["certificates"][0]["tolerance"]
+
+    base = tolerance("base", CONFIG_DIR / name)
+    assert tolerance("scaled", CONFIG_DIR / name, "--tol-scale", "1000") \
+        == pytest.approx(1000.0 * base, rel=1e-12)
+    assert tolerance("override", override) \
+        == pytest.approx(1000.0 * base, rel=1e-12)
+
+
 def test_s2_exponent_errors_match_r3(tmp_path, capsys):
     # p = 0 is out of range (exit 1, one error line); a counterexample at
     # p = 1 is not applicable (exit 2, report written)

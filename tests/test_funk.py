@@ -37,7 +37,7 @@ from radoncomp.funk import (
     sradon_spectral,
     verify_comparison_spherical,
 )
-from radoncomp.multipliers import REL_TOL, certify_pd_r1
+from radoncomp.multipliers import certify_pd_r1
 from radoncomp.sphere import (
     HarmonicSpectrum,
     SphericalFunction,
@@ -48,6 +48,7 @@ from radoncomp.sphere import (
     lp_norm_sphere,
     synthesize,
 )
+from radoncomp.tolerances import DEFAULTS
 
 
 def zonal(grid, a, k=2):
@@ -151,6 +152,19 @@ def test_verify_p1_needs_no_certificate(grid16):
     assert rep.certificate is None
     assert rep.conclusion_holds
     assert rep.chain["fubini_residual_f"] < 1e-12
+
+
+def test_verify_p1_conclusion_tolerance_is_on_the_norm_scale(grid16):
+    """At p = 1 domination decides: Rg - Rf = -2 pi * 7.5e-10 is accepted
+    against rel_tol * max|Rg| = 2 pi * 1e-9, so the norm gap 4 pi * 7.5e-10
+    must be judged against rel_tol * ||g||_1 (about 4 pi * 1e-9), not
+    against the transform's tolerance, which it exceeds."""
+    f = constant_function(grid16, 1.0)
+    g = constant_function(grid16, 1.0 - 7.5e-10)
+    rep = verify_comparison_spherical(f, g, 1.0)
+    assert -DEFAULTS["rel_tol"] * 2.0 * math.pi < rep.domination_margin < 0.0
+    assert rep.lp_f - rep.lp_g > DEFAULTS["rel_tol"] * 2.0 * math.pi
+    assert rep.hypothesis_holds and rep.conclusion_holds
 
 
 def test_verify_small_p_reverse_holder_branch(grid16):
@@ -299,7 +313,7 @@ def test_slicing_direction_ignores_roundoff_ties(grid16):
     of the maximum, which is the direction the report names."""
     f = constant_function(grid16, 1.0)
     rf = sradon_map(f).values
-    tol = REL_TOL * np.max(np.abs(rf))
+    tol = DEFAULTS["rel_tol"] * np.max(np.abs(rf))
     best = first_minimum(-rf, tol)
     nodes = np.arange(grid16.n_nodes)
     noise = np.random.default_rng(11).uniform(-1e-15, 1e-15, rf.size)
