@@ -460,17 +460,17 @@ def separable_radial(fn: Callable | None = None, grid: SphereGrid | None = None,
 
 
 def _modal_function(grid: SphereGrid, l_max: int, r_vals: np.ndarray,
-                    decay: str, modes: np.ndarray,
-                    u: np.ndarray) -> SeparableFunction:
-    """sum_i u_i(r) Y_{modes[i]} as one block, from u (len(modes), n_r)
-    sampled on r_vals; the zero function when there are no modes."""
+                    modes: np.ndarray, u: np.ndarray) -> SeparableFunction:
+    """sum_i u_i(r) Y_{modes[i]} as one block of Schwartz rows, from u
+    (len(modes), n_r) sampled on r_vals; the zero function when there are
+    no modes."""
     r_max = float(r_vals[-1])
     if not len(modes):
-        return SeparableFunction([(RadialProfile(np.zeros(len(r_vals)), r_max,
-                                                 decay), _constant_angular(grid))])
+        return SeparableFunction([(RadialProfile(np.zeros(len(r_vals)), r_max),
+                                   _constant_angular(grid))])
     coeffs = np.eye((l_max + 1) ** 2)[:, modes]
     values = degree_values_rows(coeffs, grid.nodes).sum(axis=0)
-    return SeparableFunction([RowBlock(RadialProfile(u, r_max, decay), values,
+    return SeparableFunction([RowBlock(RadialProfile(u, r_max), values,
                                        coeffs, grid)])
 
 
@@ -495,7 +495,7 @@ def separable_from_polar_samples(values: np.ndarray, r_vals: np.ndarray,
     r_vals = np.asarray(r_vals, dtype=float)
     coeffs = analyze_rows(grid, np.transpose(values), l_max)
     modes, _ = _live_modes(coeffs, l_max)
-    return _modal_function(grid, l_max, r_vals, "schwartz", modes, coeffs[modes])
+    return _modal_function(grid, l_max, r_vals, modes, coeffs[modes])
 
 
 def separable_power(phi: SeparableFunction, e: float) -> SeparableFunction:
@@ -755,64 +755,25 @@ def radon_direct_point(phi: SeparableFunction, t: float,
 # Fourier along rays
 # ----------------------------------------------------------------------------
 
-# Kernel tables kept at once: the sine table and the j_k tables of a few
-# degrees on one grid.  At the default grid each table is 16.8 MB.
+# Kernel tables kept at once: the j_k tables of a few degrees on one grid.
+# At the default grid each table is 16.8 MB.
 _KERNEL_TABLES = 4
 
 
 @lru_cache(maxsize=_KERNEL_TABLES)
 def _kernel_table(k: int, r: bytes, s: bytes) -> np.ndarray:
-    """sin(r s) for k = 0, j_k(r s) otherwise, on the outer product of the
-    float64 grids given by their bytes: (len(r), len(s)), built once per
-    process in blocks of 64 rows, which bound the temporaries.
+    """j_k(r s) on the outer product of the float64 grids given by their
+    bytes: (len(r), len(s)), built once per process in blocks of 64 rows,
+    which bound the temporaries.
 
     The table is shared by every caller and therefore read-only.
     """
     r, s = np.frombuffer(r), np.frombuffer(s)
     table = np.empty((len(r), len(s)))
     for lo in range(0, len(r), 64):
-        x = np.outer(r[lo:lo + 64], s)
-        table[lo:lo + 64] = np.sin(x) if k == 0 else spherical_jn(k, x)
+        table[lo:lo + 64] = spherical_jn(k, np.outer(r[lo:lo + 64], s))
     table.flags.writeable = False
     return table
-
-
-def _radial_fourier(profile: RadialProfile, r_vals: np.ndarray) -> np.ndarray:
-    """(4 pi / r) integral_0^R s u(s) sin(rs) ds with singular-origin care;
-    one row (len(r_vals),) per profile row."""
-    s, u = profile.r, np.atleast_2d(profile.samples)
-    singular = ~np.isfinite(u[:, 0])
-    with np.errstate(invalid="ignore"):
-        w = s * u
-    w[singular, 0] = 0.0    # placeholder; the origin term is rebuilt below
-    r_vals = np.asarray(r_vals, dtype=float)
-    out = np.zeros((len(u), len(r_vals)))
-    nz = r_vals != 0.0
-    if np.any(nz):
-        rr = r_vals[nz]
-        sines = _kernel_table(0, rr.tobytes(), s.tobytes())
-        tw = _trapezoid_weights(s)
-        vals = (w * tw) @ sines.T
-        # u ~ c/s^2 at the origin: s u(s) sin(rs) has a finite limit and is
-        # even in s; extrapolate its origin column quadratically in s^2
-        vals[singular] += (tw[0] * w[singular, 1:4] * [1.5, -0.6, 0.1]) \
-            @ sines[:, 1:4].T
-        ds = s[1] - s[0]
-        wp_end = ((3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3]) / (2.0 * ds))[:, None]
-        # Euler-Maclaurin endpoint correction for the trapezoid rule on
-        # g(s) = w(s) sin(rs), regular rows: subtract (ds^2/12) [g'(R) - g'(0)]
-        gp_end = wp_end * np.sin(rr * s[-1]) + w[:, -1:] * rr * np.cos(rr * s[-1])
-        gp_0 = w[:, :1] * rr
-        vals -= np.where(singular[:, None], 0.0, (ds * ds / 12.0) * (gp_end - gp_0))
-        if profile.decay == "algebraic":
-            # asymptotic tail: int_R^inf w sin(rs) ds
-            #   = w(R) cos(rR)/r - w'(R) sin(rR)/r^2 + O(w''/r^3)
-            vals += w[:, -1:] * np.cos(rr * s[-1]) / rr \
-                - wp_end * np.sin(rr * s[-1]) / (rr * rr)
-        out[:, nz] = FOUR_PI * vals / rr
-    if np.any(~nz):
-        out[:, ~nz] = FOUR_PI * np.trapezoid(s * w, s, axis=-1)[:, None]
-    return out
 
 
 def _bessel_tail_xjk(k: int, X: np.ndarray) -> np.ndarray:
@@ -839,9 +800,8 @@ def fourier_along_rays(f: SeparableFunction, directions: np.ndarray,
 
     A closed-form radial transform overrides numerics when present.
     Otherwise one kernel call per block and live even degree k, on the rows
-    with content in k:
-        (u * Y_k)^(r theta) = 4 pi (-1)^{k/2} Y_k(theta) int u(s) j_k(rs) s^2 ds,
-    taken for k = 0 in its sine form (4 pi / r) int s u(s) sin(rs) ds.
+    with content in k (the Hecke-Bochner formula; j_0(x) = sin(x) / x):
+        (u * Y_k)^(r theta) = 4 pi (-1)^{k/2} Y_k(theta) int u(s) j_k(rs) s^2 ds.
     """
     rows, index = _fourier_rows(f, np.atleast_2d(directions),
                                 np.asarray(r_vals, dtype=float))
@@ -854,9 +814,9 @@ def _fourier_rows(f: SeparableFunction, directions: np.ndarray,
     if f.fourier_radial is not None and f.is_radial:
         return (f.fourier_radial(r_vals)[None, :],
                 np.zeros(len(directions), dtype=int))
-    return _by_degree(f, directions, len(r_vals), lambda k, prof: (
-        _radial_fourier(prof, r_vals) if k == 0 else (-1.0) ** (k // 2)
-        * FOUR_PI * _degree_radial_fourier(prof, k, r_vals)), even_only=True)
+    return _by_degree(f, directions, len(r_vals), lambda k, prof: (-1.0) ** (
+        k // 2) * FOUR_PI * _degree_radial_fourier(prof, k, r_vals),
+        even_only=True)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
@@ -867,9 +827,11 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 
 def _degree_radial_fourier(profile: RadialProfile, k: int,
                            r_vals: np.ndarray) -> np.ndarray:
-    """int u(s) j_k(rs) s^2 ds for the degree-k Fourier expansion; one row
-    (len(r_vals),) per profile row.
+    """int u(s) j_k(rs) s^2 ds for the degree-k Fourier expansion, k = 0
+    included; one row (len(r_vals),) per profile row.
 
+    The s = 0 term is j_k(0) lim u s^2: 0 for k >= 1, and for k = 0 either
+    0 (u(0) finite) or c where u ~ c/s^2.
     Rows that end at 0 are one product against the cached j_k table.
     Algebraic rows that do not are continued with a fitted
     c/s + d/s^3 + e/s^5 tail over a 32x grid extension, with a Euler-Maclaurin
@@ -878,10 +840,11 @@ def _degree_radial_fourier(profile: RadialProfile, k: int,
     """
     s, u = profile.r, np.atleast_2d(profile.samples)
     r_vals = np.asarray(r_vals, dtype=float)
-    # j_k(0) = 0 for k >= 1 and u s^2 stays finite, so the s = 0 term is 0
-    # even where u(0) is infinite
     w = np.zeros_like(u)
     w[:, 1:] = u[:, 1:] * s[1:] * s[1:]
+    singular = ~np.isfinite(u[:, 0])
+    # u s^2 is even in s: extrapolate it quadratically in s^2 from s_1..s_3
+    w[singular, 0] = w[singular, 1:4] @ [1.5, -0.6, 0.1]
     tailed = u[:, -1] != 0.0 if profile.decay == "algebraic" \
         else np.zeros(len(u), dtype=bool)
     radial = np.empty((len(u), len(r_vals)))

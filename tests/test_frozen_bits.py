@@ -109,7 +109,7 @@ def _modal(grid, modes):
     r = np.linspace(0.0, 16.0, 2048)
     u = np.stack([(0.5 + 0.1 * i) * r ** k * np.exp(-(1.0 + 0.1 * i) * r * r)
                   for i, (k, _) in enumerate(modes)])
-    return _modal_function(grid, 15, r, "schwartz",
+    return _modal_function(grid, 15, r,
                            np.array([_flat(k, m) for k, m in modes]), u)
 
 

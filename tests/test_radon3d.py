@@ -436,8 +436,7 @@ def test_degree_plane_integral_refuses_degrees_above_30(grid16):
     r = np.linspace(0.0, 16.0, 2048)
     u = np.exp(-r * r)[None, :]
     for k in (30, 32):
-        f = radon3d._modal_function(grid16, k, r, "schwartz",
-                                    np.array([k * k + k]), u)
+        f = radon3d._modal_function(grid16, k, r, np.array([k * k + k]), u)
         if k == 30:
             sino = radon_transform(f)
             assert np.all(np.isfinite(sino.rows)) and np.any(sino.rows != 0)
@@ -484,39 +483,11 @@ def test_ray_profile_even_and_matches_closed_form(grid16):
     assert np.max(np.abs(m[0, 1:] - m[0, 1:][::-1])) < 1e-12  # even in r
 
 
-def _trapezoid_sine_reference(profile, r_vals):
-    """The sine kernel as a trapezoid formula: the (rows x radii x s)
-    integrand built in full and summed by np.trapezoid, with the same
-    singular-origin extrapolation, endpoint correction and algebraic tail."""
-    s, u = profile.r, np.atleast_2d(profile.samples)
-    singular = ~np.isfinite(u[:, 0])
-    with np.errstate(invalid="ignore"):
-        w = s * u
-    w[singular, 0] = 0.0
-    out = np.zeros((len(u), len(r_vals)))
-    nz = r_vals != 0.0
-    rr = r_vals[nz]
-    integ = np.sin(np.outer(rr, s)) * w[:, None, :]
-    integ[singular, :, 0] = 1.5 * integ[singular, :, 1] \
-        - 0.6 * integ[singular, :, 2] + 0.1 * integ[singular, :, 3]
-    vals = np.trapezoid(integ, s, axis=-1)
-    ds = s[1] - s[0]
-    wp_end = ((3.0 * w[:, -1] - 4.0 * w[:, -2] + w[:, -3]) / (2.0 * ds))[:, None]
-    gp_end = wp_end * np.sin(rr * s[-1]) + w[:, -1:] * rr * np.cos(rr * s[-1])
-    vals -= np.where(singular[:, None], 0.0,
-                     (ds * ds / 12.0) * (gp_end - w[:, :1] * rr))
-    if profile.decay == "algebraic":
-        vals += w[:, -1:] * np.cos(rr * s[-1]) / rr \
-            - wp_end * np.sin(rr * s[-1]) / (rr * rr)
-    out[:, nz] = 4.0 * math.pi * vals / rr
-    out[:, ~nz] = 4.0 * math.pi * np.trapezoid(s * w, s, axis=-1)[:, None]
-    return out
-
-
 def _trapezoid_jk_reference(profile, k, r_vals):
     """The j_k kernel as a trapezoid formula over every row at once: rows
     that end at 0 continue with 0 on the 32x extension whenever any row is
-    tailed, and every j_k block is built per call."""
+    tailed, every j_k block is built per call, and a row infinite at s = 0
+    takes lim u s^2 there, extrapolated quadratically in s^2."""
     s_int, u_int = s, u = profile.r, np.atleast_2d(profile.samples)
     tail_c = u[:, -1] * s[-1] if profile.decay == "algebraic" \
         else np.zeros(len(u))
@@ -530,7 +501,11 @@ def _trapezoid_jk_reference(profile, k, r_vals):
         s_ext = s[-1] + ds * np.arange(1, int(31.0 * len(s)) + 1)
         s_int = np.concatenate([s, s_ext])
         u_int = np.hstack([u, fit.T @ basis(s_ext)])
-    w = u_int * s_int * s_int
+    with np.errstate(invalid="ignore"):
+        w = u_int * s_int * s_int
+    singular = ~np.isfinite(u[:, 0])
+    w[singular, 0] = 1.5 * w[singular, 1] - 0.6 * w[singular, 2] \
+        + 0.1 * w[singular, 3]
     ww = w * radon3d._trapezoid_weights(s_int)
     radial = np.empty((len(u), len(r_vals)))
     for lo in range(0, len(r_vals), 64):
@@ -561,19 +536,47 @@ def test_ray_kernels_match_trapezoid_reference(k, decay):
                       1.0 / (1.0 + s * s), np.maximum(1.0 - s / 8.0, 0.0) ** 3])
     r_vals = np.r_[0.0, symmetric_nodes(1024, 16.0)[513:]]
     profile = RadialProfile(u, 16.0, decay)
-    if k == 0:
-        got = radon3d._radial_fourier(profile, r_vals)
-        want = _trapezoid_sine_reference(profile, r_vals)
-    else:
-        # j_k(0) = 0, so the origin sample never enters; the reference forms
-        # u s^2 at s = 0 and needs it finite
-        got = radon3d._degree_radial_fourier(profile, k, r_vals)
-        want = _trapezoid_jk_reference(
-            RadialProfile(np.where(np.isfinite(u), u, 0.0), 16.0, decay),
-            k, r_vals)
+    got = radon3d._degree_radial_fourier(profile, k, r_vals)
+    want = _trapezoid_jk_reference(profile, k, r_vals)
     assert np.all(np.isfinite(got))
     scale = np.max(np.abs(want), axis=1, keepdims=True)
     assert np.all(np.abs(got - want) <= 1e-14 * scale)
+
+
+def test_singular_origin_degree0_matches_closed_form(grid16):
+    # gauss-r2 = e^{-r^2} / r^2 without its closed form: the s = 0 term of
+    # the degree-0 product is lim u s^2 = 1, and f^ = 2 pi^2 erf(r/2) / r
+    f = SeparableFunction(catalog_entry("gauss-r2", grid16).f.blocks)
+    r = symmetric_nodes()[radon3d.DEFAULT_N // 2 + 1:]
+    got = fourier_along_rays(f, np.array([[0.0, 0.0, 1.0]]), r)[0]
+    want = 2.0 * math.pi ** 2 * erf(r / 2.0) / r
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name, bound", [("erf-type", 1e-9),
+                                         ("cauchy-ell", 1e-5)])
+def test_algebraic_degree0_matches_closed_form(grid16, name, bound):
+    # the samples alone, continued by the fitted c/s + d/s^3 + e/s^5 tail,
+    # against f^ = 8 pi^2 h / r^2.  cauchy-ell's e^{-s}/s part is still
+    # ~1e-6 over the fit window [3R/4, R] and bends the fit at low r;
+    # exp-ell's 4 arctan(s)/s has a 1/s^2 term outside the odd basis
+    entry = catalog_entry(name, grid16)
+    r = np.linspace(0.05, 20.0, 400)
+    got = fourier_along_rays(SeparableFunction(entry.f.blocks),
+                             np.array([[0.0, 0.0, 1.0]]), r)[0]
+    want = radon3d._catalog_fhat(entry.h_eval)(r)
+    assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+
+def test_bessel_tail_is_the_antiderivative_of_x_jk():
+    # T_k(X) = int_X^inf x j_k(x) dx: T_0 = cos X, and dT_k/dX = -X j_k(X)
+    x = np.linspace(0.5, 200.0, 2000)
+    assert np.array_equal(radon3d._bessel_tail_xjk(0, x), np.cos(x))
+    h = 1e-5
+    for k in (0, 2, 4):
+        slope = (radon3d._bessel_tail_xjk(k, x + h)
+                 - radon3d._bessel_tail_xjk(k, x - h)) / (2.0 * h)
+        assert np.max(np.abs(slope + x * spherical_jn(k, x))) <= 1e-8, k
 
 
 def test_second_certificate_on_one_grid_builds_no_table(grid16, monkeypatch):
@@ -582,7 +585,7 @@ def test_second_certificate_on_one_grid_builds_no_table(grid16, monkeypatch):
     shapes = _record_bessel_tables(monkeypatch)     # also empties the cache
     certify_intersection_function(_nonradial_psi(grid16))
     built = list(shapes)
-    # the sine table and one j_2 table, the latter in blocks of 64 radii
+    # the j_0 table and one j_2 table, the latter in blocks of 64 radii
     assert radon3d._kernel_table.cache_info().misses == 2
     assert len(built) == 16 and all(rows <= 64 for rows, _ in built)
     z = grid16.nodes[:, 2]
@@ -605,7 +608,7 @@ def test_kernel_tables_read_only_and_bounded():
         for k in (0, 2):
             table = radon3d._kernel_table(k, r.tobytes(), s.tobytes())
             x = np.outer(r, s)
-            assert np.array_equal(table, np.sin(x) if k == 0 else spherical_jn(k, x))
+            assert np.array_equal(table, spherical_jn(k, x))
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[0, 0] = 1.0

@@ -1,7 +1,7 @@
 """The repository tools: the benchmark recorder's checkout gate and its
 record of failed runs, the paired recorder's alternating order, the pair
 comparison's exclusion of failed runs, the in-process round timer, and the
-config comparison's exit status."""
+config comparison's exit status and its byte-identity line."""
 
 import json
 import subprocess
@@ -34,7 +34,7 @@ def _run(tmp_path, name, code, files):
     out = tmp_path / name
     out.mkdir()
     for fname, doc in files.items():
-        (out / fname).write_text(json.dumps(doc))
+        (out / fname).write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return code, out
 
 
@@ -52,6 +52,21 @@ def test_config_compare_fails_on_any_difference(tmp_path, other, differs):
     that = _run(tmp_path, "that", *other)
     assert config_compare.compare_runs([{"a.ini": that}, {"a.ini": this}]) \
         is differs
+
+
+def test_config_compare_prints_identical_for_equal_canonical_bytes(tmp_path,
+                                                                   capsys):
+    # the timing block is dropped and the keys sorted before the bytes meet;
+    # a number moved within the gate still prints its largest move
+    this = _run(tmp_path, "this", 0, {"report.json": {"x": 1.0, "timing": 2.0},
+                                      "a.csv": "t,v\n0,1.5\n"})
+    that = _run(tmp_path, "that", 0, {"report.json": {"timing": 9.0, "x": 1.0},
+                                      "a.csv": "t,v\n0,1.5000000000000002\n"})
+    assert not config_compare.compare_runs([{"a.ini": that}, {"a.ini": this}])
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "a.ini exit 0 / 0"
+    assert out[1].startswith("  a.csv: max rel diff 1.48e-16 at row 1 col 1")
+    assert out[2] == "  report.json: identical"
 
 
 def test_config_compare_fails_on_a_missing_config(tmp_path):

@@ -2,24 +2,28 @@
 
     python3 tools/config_compare.py <other checkout>
 
-Runs the ``configs/*.ini`` of this checkout and of the other one, each with
-its own ``src`` (``config_digest.run_configs``), and prints one line per
-config with both exit codes (other, then this).  For each output file it then
-prints the largest |a - b| / max(1, |a|), a from the other checkout and b from
-this one, over:
+Runs each ``configs/*.ini`` of this checkout and of the other one through
+``python -m radoncomp.cli``, each with its own ``src`` first on the import
+path, into a temporary directory, and prints one line per config with both
+exit codes (other, then this).  For each output file it then prints
+``identical`` when the two files have the same canonical bytes:
 
-* every number in ``report.json`` without its ``timing`` block,
-* every number in ``manifest.json`` without ``wall_seconds``,
-* every CSV cell.
+* ``report.json`` without its ``timing`` block,
+* ``manifest.json`` without ``wall_seconds``,
+* every CSV, byte for byte,
+
+both JSON files re-serialized canonically (sorted keys, two-space indent)
+after the non-reproducible field is dropped.  Otherwise it prints the
+largest |a - b| / max(1, |a|), a from the other checkout and b from this one,
+over every number of those JSON files and every CSV cell.
 
 Numbers that moved by more than 1e-13 are listed by location.  Anything else
 that differs (a verdict string, a key, a header cell, a missing file) prints
-as ``differs`` with its location.  ``config_digest.py`` shows
-byte identity; this shows how far a change that reorders floating-point sums
-moved each number.  The exit code is 1 when an exit code differs, an output
-file or config is missing on one side, a non-numeric leaf differs, or a
-number moved by more than 1e-13, and 0 otherwise, so the tool can gate a
-change.  Standard library only.
+as ``differs`` with its location.  The exit code is 1 when an exit code
+differs, an output file or config is missing on one side, a non-numeric leaf
+differs, or a number moved by more than 1e-13, and 0 otherwise, so the tool
+can gate a change; a change that keeps every shipped output byte-identical
+prints ``identical`` for every file.  Standard library only.
 """
 
 from __future__ import annotations
@@ -27,14 +31,55 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from config_digest import ROOT, VOLATILE, run_configs
+ROOT = Path(__file__).resolve().parent.parent
+
+# The non-reproducible field of each JSON output.
+VOLATILE = {"report.json": "timing", "manifest.json": "wall_seconds"}
 
 # Relative moves above this are listed by location.
 NOTE = 1e-13
+
+
+def _kind(config: Path) -> str:
+    for line in config.read_text().splitlines():
+        key, _, value = line.partition("=")
+        if key.strip() == "kind":
+            return value.strip()
+    raise SystemExit(f"{config}: no 'kind' key")
+
+
+def run_configs(root: Path, tmp: Path):
+    """Run every ``configs/*.ini`` of the checkout at ``root`` with its own
+    ``src``, each into ``tmp/<config stem>``; yield (config, exit code, output
+    directory) in name order."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    for config in sorted((root / "configs").glob("*.ini")):
+        out = tmp / config.stem
+        code = subprocess.run(
+            [sys.executable, "-m", "radoncomp.cli", _kind(config),
+             "--config", str(config), "--out", str(out)],
+            env=env, cwd=tmp, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL).returncode
+        yield config, code, out
+
+
+def _canonical(path: Path) -> bytes:
+    """The file's bytes, a JSON output's re-serialized canonically without
+    its non-reproducible field."""
+    data = path.read_bytes()
+    if path.name in VOLATILE:
+        doc = json.loads(data)
+        doc.pop(VOLATILE[path.name], None)
+        data = json.dumps(doc, indent=2, sort_keys=True).encode()
+    return data
 
 
 def _walk(doc, where: str):
@@ -79,9 +124,12 @@ def _rel(a: float, b: float) -> float:
 
 
 def compare(a_path: Path, b_path: Path) -> tuple[str, bool]:
-    """One line: the largest relative difference and where, the numbers
-    that moved by more than ``NOTE``, and the first non-numeric difference;
-    and whether there was any such move or difference."""
+    """One line: ``identical`` for equal canonical bytes, else the largest
+    relative difference and where, the numbers that moved by more than
+    ``NOTE``, and the first non-numeric difference; and whether there was
+    any such move or difference."""
+    if _canonical(a_path) == _canonical(b_path):
+        return "identical", False
     a, b = _leaves(a_path), _leaves(b_path)
     if a.keys() != b.keys():
         return f"differs: locations {sorted(a.keys() ^ b.keys())[:3]}", True
